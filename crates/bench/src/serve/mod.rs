@@ -111,7 +111,11 @@ pub struct ServeState {
     pub opts: ServeOptions,
     queue: Mutex<VecDeque<Arc<JobHandle>>>,
     queue_changed: Condvar,
+    /// Live jobs by id, plus terminal ones until the next WAL compaction
+    /// drops them (a session waiting on a job holds its own handle).
     jobs: Mutex<BTreeMap<String, Arc<JobHandle>>>,
+    /// Jobs ever enqueued (the `status` reply's `jobs_seen`).
+    jobs_seen: AtomicUsize,
     inflight: Mutex<BTreeMap<String, usize>>,
     outstanding: AtomicUsize,
     wal: Mutex<WalWriter>,
@@ -140,6 +144,7 @@ impl ServeState {
             queue: Mutex::new(VecDeque::new()),
             queue_changed: Condvar::new(),
             jobs: Mutex::new(BTreeMap::new()),
+            jobs_seen: AtomicUsize::new(0),
             inflight: Mutex::new(BTreeMap::new()),
             outstanding: AtomicUsize::new(0),
             wal: Mutex::new(WalWriter::open(&wal_path)?),
@@ -171,6 +176,7 @@ impl ServeState {
             .entry(job.client.clone())
             .or_insert(0) += 1;
         self.jobs.lock().unwrap_or_else(|p| p.into_inner()).insert(job.id.clone(), job.clone());
+        self.jobs_seen.fetch_add(1, Ordering::SeqCst);
         self.queue.lock().unwrap_or_else(|p| p.into_inner()).push_back(job.clone());
         self.queue_changed.notify_all();
     }
@@ -244,7 +250,7 @@ impl ServeState {
             .field("queued", queued)
             .field("running", outstanding.saturating_sub(queued))
             .field("outstanding", outstanding)
-            .field("jobs_seen", self.jobs.lock().unwrap_or_else(|p| p.into_inner()).len())
+            .field("jobs_seen", self.jobs_seen.load(Ordering::SeqCst))
             .field("shutting_down", self.is_shutting_down())
             .build()
     }
@@ -416,15 +422,20 @@ impl ServeState {
         self.maybe_compact();
     }
 
-    /// Compacts the WAL once enough finished-job history accumulates.
+    /// Compacts the WAL once enough finished-job history accumulates, and
+    /// drops the finished jobs it compacted away from the registry, so the
+    /// daemon's memory does not grow with every request served.
     fn maybe_compact(&self) {
         let mut wal = self.wal.lock().unwrap_or_else(|p| p.into_inner());
         if wal.terminal_since_compact() < 64 {
             return;
         }
         let keep = self.live_submitted_events();
-        if let Err(e) = wal.compact(&keep) {
-            diag_warn!("serve WAL compaction failed (continuing uncompacted): {e}");
+        match wal.compact(&keep) {
+            Ok(()) => {
+                self.jobs.lock().unwrap_or_else(|p| p.into_inner()).retain(|_, j| !j.is_terminal());
+            }
+            Err(e) => diag_warn!("serve WAL compaction failed (continuing uncompacted): {e}"),
         }
     }
 
@@ -711,6 +722,35 @@ mod tests {
             second.render_compact(),
             "replayed verdict is bit-identical"
         );
+        std::fs::remove_dir_all(&state_dir).ok();
+    }
+
+    #[test]
+    fn compaction_drops_finished_jobs_from_the_registry() {
+        let opts = test_opts("compact");
+        let state_dir = opts.state_dir.clone();
+        let state = ServeState::new(opts).unwrap();
+        // 64 terminal events trigger a compaction; the 65th job finishes
+        // after it.
+        let handles: Vec<_> = (0..65)
+            .map(|_| {
+                let job = state.submit("ci", quick_spec()).unwrap();
+                assert!(state.cancel(&job.id));
+                state.run_job(&job);
+                job
+            })
+            .collect();
+        assert!(state.job("job-0").is_none(), "compacted-away jobs leave the registry");
+        assert!(state.job("job-63").is_none());
+        assert!(state.job("job-64").is_some(), "jobs finished since are still listed");
+        assert!(handles.iter().all(|h| matches!(h.state(), JobState::Cancelled)));
+        let status = state.status_json();
+        assert_eq!(status.get("jobs_seen").and_then(Value::as_u64), Some(65), "a running count");
+        assert_eq!(status.get("outstanding").and_then(Value::as_u64), Some(0));
+        let wal = std::fs::read_to_string(state_dir.join("serve-wal.jsonl")).unwrap();
+        assert!(!wal.contains("\"job-0\""), "the WAL was compacted");
+        assert!(wal.contains("\"job-64\""));
+        assert_eq!(state.submit("ci", quick_spec()).unwrap().id, "job-65");
         std::fs::remove_dir_all(&state_dir).ok();
     }
 

@@ -461,12 +461,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
+                    // Copy the whole run up to the next `"` or `\` at once.
+                    // The input is a `&str` and both delimiters are ASCII,
+                    // so the run is valid UTF-8 on its own.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len =
+                        rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -605,6 +609,26 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\q\"", "{\"a\" 1}"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn strings_round_trip_every_escape_and_multibyte_run() {
+        // Plain runs of 1-, 2-, 3- and 4-byte characters between escapes,
+        // every two-character escape, a \u escape and a surrogate pair.
+        let text = r#"["a€😀b\"c\\d\/e\bf\fg\nh\ri\tjék🦀l日本語", "", "\"", "🦀"]"#;
+        let expect = "a€😀b\"c\\d/e\u{8}f\u{c}g\nh\ri\tjék🦀l日本語";
+        let v = parse(text).unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some(expect));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert_eq!(items[2].as_str(), Some("\""));
+        assert_eq!(items[3].as_str(), Some("🦀"));
+        assert_eq!(parse(&v.render_compact()).unwrap(), v);
+        // A long plain string (the journal case) parses whole.
+        let long = "é".repeat(100_000);
+        assert_eq!(parse(&format!("\"{long}\"")).unwrap().as_str(), Some(long.as_str()));
+        let e = parse("\"abc").unwrap_err();
+        assert_eq!((e.offset, e.message.as_str()), (4, "unterminated string"));
     }
 
     #[test]

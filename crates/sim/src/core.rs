@@ -186,6 +186,9 @@ pub(crate) struct Core {
     // Per-cycle trace scratch.
     nlp_issued: Vec<u64>,
     dcache_reqs: Vec<u64>,
+    /// Row buffer every sampled unit row is built in (no per-cycle
+    /// allocation once it has grown to the widest row).
+    trace_row: Vec<u64>,
     // Fault injection (None unless `cfg.faults` is set).
     fault_plan: Option<FaultPlan>,
     /// The LSU neither drains stores nor starts new loads while
@@ -198,6 +201,12 @@ pub(crate) struct Core {
     last_commit_cycle: u64,
     text_base: u64,
     text_len: u64,
+    /// The text section decoded once at load: slot `i` holds the word at
+    /// `decode_base() + 4 * i` (`None`: undecodable). Memory writes that
+    /// land in the text section re-decode the words they touch
+    /// ([`Core::write_mem`], [`Core::commit_store`]), so fetch always sees
+    /// what a decode of memory would give.
+    decoded: Vec<Option<Inst>>,
     pub exit: Option<CoreExit>,
     /// Words served to non-speculative `csrr` reads of [`CSR_INPUT`].
     pub input_queue: VecDeque<u64>,
@@ -225,6 +234,13 @@ impl Core {
         let free_pregs: Vec<PReg> = (32..cfg.prf_regs as PReg).rev().collect();
         let mut arch_regs = [0u64; 32];
         arch_regs[Reg::SP.index()] = STACK_TOP;
+        let text_len = program.text.len() as u64;
+        // Decoded after the data section is written too, in case the two
+        // overlap.
+        let base = program.text_base & !3;
+        let decoded = (0..(program.text_base + text_len - base).div_ceil(4))
+            .map(|i| microsampler_isa::decode(mem.read_u32(base + 4 * i)).ok())
+            .collect();
         Core {
             fetch_pc: program.entry,
             fetch_buffer: VecDeque::new(),
@@ -259,12 +275,14 @@ impl Core {
             div_busy: None,
             nlp_issued: Vec::new(),
             dcache_reqs: Vec::new(),
+            trace_row: Vec::new(),
             fault_plan: cfg.faults.map(FaultPlan::new),
             lsu_stall_until: 0,
             fault_counts: FaultCounts::default(),
             last_commit_cycle: 0,
             text_base: program.text_base,
-            text_len: program.text.len() as u64,
+            text_len,
+            decoded,
             arch_regs,
             mem,
             cycle: 0,
@@ -515,6 +533,35 @@ impl Core {
         entry.committed = true;
         entry.state = StState::Draining;
         self.mem.write_le(addr, size, data);
+        self.redecode(addr, size);
+    }
+
+    /// Writes memory from outside the pipeline (harness initialization).
+    pub fn write_mem(&mut self, addr: u64, bytes: &[u8]) {
+        self.mem.write_bytes(addr, bytes);
+        self.redecode(addr, bytes.len() as u64);
+    }
+
+    /// Address of decode slot 0: the text base rounded down to a word, so
+    /// every word-aligned PC in the text section has a slot.
+    fn decode_base(&self) -> u64 {
+        self.text_base & !3
+    }
+
+    /// Re-decodes every text word overlapping `addr .. addr + len` after a
+    /// memory write (self-modifying code and harness patches).
+    fn redecode(&mut self, addr: u64, len: u64) {
+        let base = self.decode_base();
+        let text_end = base + 4 * self.decoded.len() as u64;
+        if len == 0 || addr >= text_end || addr.saturating_add(len) <= base {
+            return;
+        }
+        let first = addr.saturating_sub(base) / 4;
+        let last = (addr.saturating_add(len).min(text_end) - base).div_ceil(4);
+        for i in first..last {
+            let word = self.mem.read_u32(base + 4 * i);
+            self.decoded[i as usize] = microsampler_isa::decode(word).ok();
+        }
     }
 
     fn commit_marker(&mut self, csr: u16, value: u64) {
@@ -1269,8 +1316,7 @@ impl Core {
                 }
                 Access::Retry => return,
             }
-            let word = self.mem.read_u32(pc);
-            let Ok(inst) = microsampler_isa::decode(word) else {
+            let Some(inst) = self.decoded[((pc - self.decode_base()) / 4) as usize] else {
                 // Undecodable word on a (wrong) path: stall.
                 return;
             };
@@ -1332,89 +1378,64 @@ impl Core {
             return;
         }
         self.tracer.begin_cycle(self.cycle);
-        let mut row: Vec<u64>;
+        let cfg = &self.cfg;
+        let tracer = &mut self.tracer;
+        let row = &mut self.trace_row;
 
-        row = vec![0; self.cfg.stq_entries];
-        for (i, e) in self.stq.iter().enumerate().take(self.cfg.stq_entries) {
-            row[i] = e.addr.unwrap_or(0);
-        }
-        self.tracer.record_row(UnitId::SqAddr, &row);
+        let stq = || self.stq.iter();
+        tracer.record_row(
+            UnitId::SqAddr,
+            fixed_row(row, cfg.stq_entries, stq().map(|e| e.addr.unwrap_or(0))),
+        );
+        tracer.record_row(UnitId::SqPc, fixed_row(row, cfg.stq_entries, stq().map(|e| e.pc)));
 
-        row = vec![0; self.cfg.stq_entries];
-        for (i, e) in self.stq.iter().enumerate().take(self.cfg.stq_entries) {
-            row[i] = e.pc;
-        }
-        self.tracer.record_row(UnitId::SqPc, &row);
+        let ldq = || self.ldq.iter();
+        tracer.record_row(
+            UnitId::LqAddr,
+            fixed_row(row, cfg.ldq_entries, ldq().map(|e| e.addr.unwrap_or(0))),
+        );
+        tracer.record_row(UnitId::LqPc, fixed_row(row, cfg.ldq_entries, ldq().map(|e| e.pc)));
 
-        row = vec![0; self.cfg.ldq_entries];
-        for (i, e) in self.ldq.iter().enumerate().take(self.cfg.ldq_entries) {
-            row[i] = e.addr.unwrap_or(0);
-        }
-        self.tracer.record_row(UnitId::LqAddr, &row);
+        tracer.record_row(UnitId::RobOccupancy, &[self.rob.len() as u64]);
 
-        row = vec![0; self.cfg.ldq_entries];
-        for (i, e) in self.ldq.iter().enumerate().take(self.cfg.ldq_entries) {
-            row[i] = e.pc;
-        }
-        self.tracer.record_row(UnitId::LqPc, &row);
-
-        self.tracer.record_row(UnitId::RobOccupancy, &[self.rob.len() as u64]);
-
-        let mut rob_pcs = Vec::with_capacity(self.cfg.rob_entries);
+        // Fused fast-bypass ops sit before their carrier's PC; the row is
+        // never truncated, only padded to the ROB size.
+        row.clear();
         for u in &self.rob {
-            for f in &u.fused {
-                rob_pcs.push(f.pc);
-            }
-            rob_pcs.push(u.pc);
+            row.extend(u.fused.iter().map(|f| f.pc));
+            row.push(u.pc);
         }
-        rob_pcs.resize(self.cfg.rob_entries.max(rob_pcs.len()), 0);
-        self.tracer.record_row(UnitId::RobPc, &rob_pcs);
+        tracer.record_row(UnitId::RobPc, pad_row(row, cfg.rob_entries));
 
-        row = vec![0; self.cfg.lfb_entries];
-        for (i, l) in self.l1d.lfb_entries().enumerate().take(self.cfg.lfb_entries) {
-            row[i] = l.data_digest;
-        }
-        self.tracer.record_row(UnitId::LfbData, &row);
+        let lfbs = || self.l1d.lfb_entries();
+        tracer.record_row(
+            UnitId::LfbData,
+            fixed_row(row, cfg.lfb_entries, lfbs().map(|l| l.data_digest)),
+        );
+        tracer.record_row(
+            UnitId::LfbAddr,
+            fixed_row(row, cfg.lfb_entries, lfbs().map(|l| l.line_addr)),
+        );
 
-        row = vec![0; self.cfg.lfb_entries];
-        for (i, l) in self.l1d.lfb_entries().enumerate().take(self.cfg.lfb_entries) {
-            row[i] = l.line_addr;
-        }
-        self.tracer.record_row(UnitId::LfbAddr, &row);
+        tracer.record_row(UnitId::EuuAlu, &self.alu_busy);
+        tracer.record_row(UnitId::EuuAddrGen, &self.agu_busy);
+        tracer.record_row(UnitId::EuuDiv, &[self.div_busy.map_or(0, |op| op.pc)]);
 
-        let alu_row = self.alu_busy.clone();
-        self.tracer.record_row(UnitId::EuuAlu, &alu_row);
-        let agu_row = self.agu_busy.clone();
-        self.tracer.record_row(UnitId::EuuAddrGen, &agu_row);
+        let muls = self.mul_inflight.iter().map(|op| op.pc);
+        tracer.record_row(UnitId::EuuMul, fixed_row(row, cfg.mul_latency as usize, muls));
 
-        let div_row = [self.div_busy.map(|op| op.pc).unwrap_or(0)];
-        self.tracer.record_row(UnitId::EuuDiv, &div_row);
+        row.clear();
+        row.extend_from_slice(&self.nlp_issued);
+        tracer.record_row(UnitId::NlpAddr, pad_row(row, 2));
+        row.clear();
+        row.extend_from_slice(&self.dcache_reqs);
+        tracer.record_row(UnitId::CacheAddr, pad_row(row, 4));
 
-        let mut mul_row = vec![0; self.cfg.mul_latency as usize];
-        for (i, op) in self.mul_inflight.iter().enumerate().take(mul_row.len()) {
-            mul_row[i] = op.pc;
-        }
-        self.tracer.record_row(UnitId::EuuMul, &mul_row);
+        let pages = self.tlb.resident_pages();
+        tracer.record_row(UnitId::TlbAddr, fixed_row(row, cfg.tlb_entries, pages));
 
-        let mut nlp_row = self.nlp_issued.clone();
-        nlp_row.resize(nlp_row.len().max(2), 0);
-        self.tracer.record_row(UnitId::NlpAddr, &nlp_row);
-
-        let mut cache_row = self.dcache_reqs.clone();
-        cache_row.resize(cache_row.len().max(4), 0);
-        self.tracer.record_row(UnitId::CacheAddr, &cache_row);
-
-        let mut tlb_row = vec![0; self.cfg.tlb_entries];
-        for (i, p) in self.tlb.resident_pages().enumerate().take(self.cfg.tlb_entries) {
-            tlb_row[i] = p;
-        }
-        self.tracer.record_row(UnitId::TlbAddr, &tlb_row);
-
-        let mut mshr_row = vec![0; self.cfg.l1d.mshrs];
-        for (i, a) in self.l1d.mshr_addrs().enumerate().take(self.cfg.l1d.mshrs) {
-            mshr_row[i] = a;
-        }
-        self.tracer.record_row(UnitId::MshrAddr, &mshr_row);
+        let mshrs = self.l1d.mshr_addrs();
+        tracer.record_row(UnitId::MshrAddr, fixed_row(row, cfg.l1d.mshrs, mshrs));
     }
 
     /// Cycles since the last commit (deadlock watchdog input).
@@ -1436,6 +1457,23 @@ impl Core {
             a += line;
         }
     }
+}
+
+/// Refills `row` with the first `width` of `values`, zero-padded to exactly
+/// `width` entries.
+fn fixed_row(row: &mut Vec<u64>, width: usize, values: impl Iterator<Item = u64>) -> &[u64] {
+    row.clear();
+    row.extend(values.take(width));
+    row.resize(width, 0);
+    row
+}
+
+/// Zero-pads `row` to at least `min_width` entries (never truncates).
+fn pad_row(row: &mut Vec<u64>, min_width: usize) -> &[u64] {
+    if row.len() < min_width {
+        row.resize(min_width, 0);
+    }
+    row
 }
 
 fn mask(size: u64) -> u64 {

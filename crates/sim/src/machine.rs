@@ -261,7 +261,7 @@ impl Machine {
 
     /// Writes memory directly (harness-level initialization).
     pub fn write_mem(&mut self, addr: u64, bytes: &[u8]) {
-        self.core.mem.write_bytes(addr, bytes);
+        self.core.write_mem(addr, bytes);
     }
 
     /// Flushes the L1D line containing `addr` (attacker model).

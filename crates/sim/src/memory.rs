@@ -44,9 +44,22 @@ impl Memory {
         page[(addr % PAGE_SIZE) as usize] = value;
     }
 
+    /// The in-page offset of `addr` when `addr .. addr + len` lies inside
+    /// one page (the common case, served with one page lookup).
+    fn in_page(addr: u64, len: u64) -> Option<usize> {
+        let off = addr % PAGE_SIZE;
+        (off + len <= PAGE_SIZE).then_some(off as usize)
+    }
+
     /// Reads `N` little-endian bytes as an integer, `N <= 8`.
     pub fn read_le(&self, addr: u64, size: u64) -> u64 {
         debug_assert!(size <= 8);
+        if let Some(off) = Memory::in_page(addr, size) {
+            let Some(page) = self.pages.get(&(addr / PAGE_SIZE)) else { return 0 };
+            let mut bytes = [0u8; 8];
+            bytes[..size as usize].copy_from_slice(&page[off..off + size as usize]);
+            return u64::from_le_bytes(bytes);
+        }
         let mut v = 0u64;
         for i in 0..size {
             v |= (self.read_u8(addr + i) as u64) << (8 * i);
@@ -57,6 +70,14 @@ impl Memory {
     /// Writes the low `size` bytes of `value` little-endian.
     pub fn write_le(&mut self, addr: u64, size: u64, value: u64) {
         debug_assert!(size <= 8);
+        if let Some(off) = Memory::in_page(addr, size) {
+            let page = self
+                .pages
+                .entry(addr / PAGE_SIZE)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
+            page[off..off + size as usize].copy_from_slice(&value.to_le_bytes()[..size as usize]);
+            return;
+        }
         for i in 0..size {
             self.write_u8(addr + i, (value >> (8 * i)) as u8);
         }
@@ -93,12 +114,17 @@ impl Memory {
     /// trace feature (equal lines hash equal; distinct lines almost surely
     /// differ).
     pub fn line_digest(&self, line_addr: u64, line_bytes: u64) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
-        for i in 0..line_bytes {
-            h ^= self.read_u8(line_addr + i) as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
+        let fnv = |h: u64, b: u8| (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        let basis = 0xcbf2_9ce4_8422_2325u64; // FNV-1a offset basis
+        match Memory::in_page(line_addr, line_bytes) {
+            Some(off) => match self.pages.get(&(line_addr / PAGE_SIZE)) {
+                Some(page) => {
+                    page[off..off + line_bytes as usize].iter().fold(basis, |h, &b| fnv(h, b))
+                }
+                None => (0..line_bytes).fold(basis, |h, _| fnv(h, 0)),
+            },
+            None => (0..line_bytes).fold(basis, |h, i| fnv(h, self.read_u8(line_addr + i))),
         }
-        h
     }
 }
 
@@ -141,6 +167,48 @@ mod tests {
         let data: Vec<u8> = (0..100).collect();
         m.write_bytes(5000, &data);
         assert_eq!(m.read_bytes(5000, 100), data);
+    }
+
+    /// The byte-at-a-time definitions the page-granular paths replace.
+    fn bytewise_read(m: &Memory, addr: u64, size: u64) -> u64 {
+        (0..size).fold(0, |v, i| v | (m.read_u8(addr + i) as u64) << (8 * i))
+    }
+
+    fn bytewise_digest(m: &Memory, addr: u64, len: u64) -> u64 {
+        (0..len).fold(0xcbf2_9ce4_8422_2325u64, |h, i| {
+            (h ^ m.read_u8(addr + i) as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    proptest::proptest! {
+        /// Accesses within 48 bytes of a page boundary (so many cross it)
+        /// agree with the byte loop, on written and never-written pages.
+        #[test]
+        fn page_granular_access_equals_byte_loop(
+            ops in proptest::collection::vec(
+                (0u64..48, 1u64..=8, proptest::prelude::any::<u64>(), 1u64..=64),
+                1..40,
+            ),
+            page in 1u64..4,
+        ) {
+            let base = page * PAGE_SIZE - 24;
+            let (mut fast, mut bytewise) = (Memory::new(), Memory::new());
+            for &(off, size, value, len) in &ops {
+                let addr = base + off;
+                // Reads first, so the first ones see never-written pages.
+                let read = bytewise_read(&bytewise, addr, size);
+                proptest::prop_assert_eq!(fast.read_le(addr, size), read);
+                let digest = bytewise_digest(&bytewise, addr, len);
+                proptest::prop_assert_eq!(fast.line_digest(addr, len), digest);
+                fast.write_le(addr, size, value);
+                for i in 0..size {
+                    bytewise.write_u8(addr + i, (value >> (8 * i)) as u8);
+                }
+            }
+            for addr in base..base + 56 {
+                proptest::prop_assert_eq!(fast.read_u8(addr), bytewise.read_u8(addr));
+            }
+        }
     }
 
     #[test]

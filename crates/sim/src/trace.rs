@@ -18,8 +18,9 @@
 use crate::fault::{FaultConfig, FaultPlan};
 use crate::pipeline::PipelineStats;
 use microsampler_stats::SipHasher;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a tracked microarchitectural unit (paper Table IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -82,9 +83,10 @@ impl UnitId {
     /// Number of tracked units.
     pub const COUNT: usize = 16;
 
-    /// Canonical index, `0..16`.
+    /// Canonical index, `0..16`: the position in [`UnitId::ALL`], which
+    /// lists the units in declaration order.
     pub fn index(self) -> usize {
-        UnitId::ALL.iter().position(|&u| u == self).expect("unit in ALL")
+        self as usize
     }
 
     /// Paper feature ID, e.g. `"SQ-ADDR"`.
@@ -176,9 +178,10 @@ pub struct UnitTrace {
     pub hash: u64,
     /// Snapshot hash with consecutive duplicate rows consolidated.
     pub hash_timeless: u64,
-    /// Distinct non-zero values observed.
+    /// Distinct non-zero values observed: always exactly the values of
+    /// `order` (the journal decoder rebuilds it from `order`).
     pub features: BTreeSet<u64>,
-    /// Values in first-occurrence order.
+    /// Distinct non-zero values in first-occurrence order.
     pub order: Vec<u64>,
     /// Raw matrix (`rows[cycle][entry]`), kept only when
     /// [`TraceConfig::keep_matrices`] is set.
@@ -225,11 +228,37 @@ impl IterationTrace {
     }
 }
 
+/// Multiply-shift hasher for the fold's membership set of `u64` snapshot
+/// values. The values are simulated addresses and PCs, not adversarial
+/// keys, so one multiply is enough; folding the high half down spreads
+/// the well-mixed high bits into the low bits the table indexes by.
+#[derive(Default)]
+struct MulShift(u64);
+
+impl Hasher for MulShift {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let p = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = p ^ (p >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct UnitBuilder {
     hasher: SipHasher,
     timeless_hasher: SipHasher,
     last_row: Option<Vec<u64>>,
-    features: BTreeSet<u64>,
+    /// Membership index over `order` (the feature set is built from
+    /// `order` when the iteration closes).
+    seen: HashSet<u64, BuildHasherDefault<MulShift>>,
     order: Vec<u64>,
     rows: Option<Vec<Vec<u64>>>,
     cycle_rows: u64,
@@ -244,7 +273,7 @@ impl UnitBuilder {
             hasher: cfg.hasher(),
             timeless_hasher: cfg.hasher(),
             last_row: None,
-            features: BTreeSet::new(),
+            seen: HashSet::default(),
             order: Vec::new(),
             rows: cfg.keep_matrices.then(Vec::new),
             cycle_rows: 0,
@@ -271,20 +300,18 @@ impl UnitBuilder {
         let row_bytes = 8 * (row.len() as u64 + 1);
         let mut hashed = row_bytes;
         self.hasher.write_u64(row.len() as u64);
-        if self.last_row.as_deref() == Some(row) {
-            // Unchanged row: the timeless hasher consolidates it away, and
-            // its values are already in the feature set (they were inserted
-            // when this row content first appeared), so one traversal
-            // feeding the full hasher suffices.
-            for &v in row {
-                self.hasher.write_u64(v);
-            }
-        } else {
+        self.hasher.write_u64s(row);
+        // An unchanged row is consolidated away by the timeless hasher, and
+        // its values are already features (they were recorded when this row
+        // content first appeared).
+        if self.last_row.as_deref() != Some(row) {
             self.timeless_hasher.write_u64(row.len() as u64);
-            for &v in row {
-                self.hasher.write_u64(v);
-                self.timeless_hasher.write_u64(v);
-                if v != 0 && self.features.insert(v) {
+            self.timeless_hasher.write_u64s(row);
+            // Every value of the previous row is already a feature, so only
+            // positions whose value changed need a membership check.
+            let prev = self.last_row.as_deref().unwrap_or(&[]);
+            for (i, &v) in row.iter().enumerate() {
+                if v != 0 && prev.get(i) != Some(&v) && self.seen.insert(v) {
                     self.order.push(v);
                 }
             }
@@ -319,7 +346,7 @@ impl UnitBuilder {
         UnitTrace {
             hash: self.hasher.finish(),
             hash_timeless: self.timeless_hasher.finish(),
-            features: self.features,
+            features: self.order.iter().copied().collect(),
             order: self.order,
             rows: self.rows,
             cycle_rows: self.cycle_rows,
@@ -755,10 +782,72 @@ mod tests {
         t
     }
 
+    /// The fold as first written: a `BTreeSet` insert for every non-zero
+    /// value of every changed row.
+    fn reference_fold(rows: &[Vec<u64>]) -> UnitTrace {
+        let cfg = TraceConfig::default();
+        let (mut full, mut timeless) = (cfg.hasher(), cfg.hasher());
+        let mut features = BTreeSet::new();
+        let mut order = Vec::new();
+        let mut last: Option<&Vec<u64>> = None;
+        for row in rows {
+            full.write_u64(row.len() as u64);
+            for &v in row {
+                full.write_u64(v);
+            }
+            if last != Some(row) {
+                timeless.write_u64(row.len() as u64);
+                for &v in row {
+                    timeless.write_u64(v);
+                    if v != 0 && features.insert(v) {
+                        order.push(v);
+                    }
+                }
+            }
+            last = Some(row);
+        }
+        UnitTrace {
+            hash: full.finish(),
+            hash_timeless: timeless.finish(),
+            features,
+            order,
+            rows: None,
+            cycle_rows: rows.len() as u64,
+        }
+    }
+
+    proptest::proptest! {
+        /// Rows over a small alphabet (zeros, values repeated across and
+        /// within rows), of changing widths, with exact repeats of the
+        /// previous row mixed in.
+        #[test]
+        fn fold_equals_btreeset_reference(
+            steps in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), proptest::collection::vec(0u64..6, 0..6)),
+                0..48,
+            ),
+        ) {
+            let mut rows: Vec<Vec<u64>> = Vec::new();
+            for (repeat, values) in steps {
+                let row = match rows.last() {
+                    Some(prev) if repeat => prev.clone(),
+                    _ => values,
+                };
+                rows.push(row);
+            }
+            let mut b = UnitBuilder::new(&TraceConfig::default(), false);
+            for row in &rows {
+                b.push_row(row);
+            }
+            proptest::prop_assert_eq!(b.finish(), reference_fold(&rows));
+        }
+    }
+
     #[test]
     fn unit_names_roundtrip() {
-        for u in UnitId::ALL {
+        for (i, u) in UnitId::ALL.into_iter().enumerate() {
             assert_eq!(UnitId::from_name(u.name()), Some(u));
+            assert_eq!(u.index(), i, "ALL lists the units in declaration order");
         }
         assert_eq!(UnitId::from_name("BOGUS"), None);
         assert_eq!(UnitId::ALL.len(), UnitId::COUNT);

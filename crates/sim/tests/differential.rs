@@ -3,7 +3,7 @@
 //! configuration — including with speculation, squash and fast bypass.
 
 use microsampler_isa::asm::assemble;
-use microsampler_isa::{Program, Reg};
+use microsampler_isa::{encode, AluOp, Inst, Program, Reg};
 use microsampler_sim::interp::{Interp, StopReason};
 use microsampler_sim::{CoreConfig, Machine};
 use proptest::prelude::*;
@@ -283,6 +283,72 @@ fn store_load_aliasing() {
         "#,
         Some((microsampler_isa::DATA_BASE, 40)),
     );
+}
+
+fn addi(rd: u8, rs1: u8, imm: i64) -> u32 {
+    encode(&Inst::OpImm { op: AluOp::Add, rd: Reg::new(rd), rs1: Reg::new(rs1), imm })
+}
+
+/// Self-modifying code: the program stores a new instruction over one of
+/// its own, then jumps to it. The store commits while a divide chain is
+/// still computing the jump target, and the mispredicted `jalr` refetches
+/// from the patched address, so the core must execute the new word — as
+/// the interpreter does.
+#[test]
+fn store_into_text_then_execute_it() {
+    check(
+        &format!(
+            r#"
+        _start:
+            j main
+        patch:
+            addi a0, a0, 1          # overwritten with addi a0, a0, 100
+            ecall
+        main:
+            li a0, 5
+            la t0, patch
+            li t1, {new_word}
+            sw t1, 0(t0)
+            li t3, 1000
+            li t4, 10
+            div t3, t3, t4
+            div t3, t3, t4
+            div t3, t3, t4          # t3 = 1, late
+            mul t2, t0, t3          # the patch address, known only now
+            jalr zero, 0(t2)
+        "#,
+            new_word = addi(10, 10, 100),
+        ),
+        None,
+    );
+}
+
+/// A harness write into the text section after the machine is built must
+/// be what fetch executes: a whole replaced word, and a single byte that
+/// changes an immediate.
+#[test]
+fn fetch_sees_write_mem_into_text() {
+    let p = assemble("addi a0, zero, 1\naddi a1, zero, 1\necall\n").unwrap();
+    let patches: [(u64, Vec<u8>); 2] = [
+        (p.text_base, addi(10, 0, 42).to_le_bytes().to_vec()),
+        // Byte 3 of an I-type word holds imm[11:4]: 1 becomes 0x21.
+        (p.text_base + 7, vec![0x02]),
+    ];
+    let mut golden = Interp::new(&p);
+    for (addr, bytes) in &patches {
+        golden.mem.write_bytes(*addr, bytes);
+    }
+    golden.run(1_000).expect("golden model runs");
+    assert_eq!((golden.reg(Reg::new(10)), golden.reg(Reg::new(11))), (42, 0x21));
+    for cfg in [CoreConfig::small_boom(), CoreConfig::mega_boom()] {
+        let mut m = Machine::new(cfg, &p);
+        for (addr, bytes) in &patches {
+            m.write_mem(*addr, bytes);
+        }
+        m.run(100_000).expect("patched program runs");
+        assert_eq!(m.reg(Reg::new(10)), 42);
+        assert_eq!(m.reg(Reg::new(11)), 0x21);
+    }
 }
 
 /// Straight-line random ALU programs (no control flow, so they always

@@ -20,15 +20,54 @@
 /// ```
 #[derive(Clone, Debug)]
 pub struct SipHasher {
-    v0: u64,
-    v1: u64,
-    v2: u64,
-    v3: u64,
+    v: Lanes,
     c_rounds: u32,
     d_rounds: u32,
     buf: [u8; 8],
     buf_len: usize,
     total_len: u64,
+}
+
+/// The four 64-bit state words.
+#[derive(Clone, Copy, Debug)]
+struct Lanes {
+    v0: u64,
+    v1: u64,
+    v2: u64,
+    v3: u64,
+}
+
+impl Lanes {
+    #[inline]
+    fn round(&mut self) {
+        self.v0 = self.v0.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(13);
+        self.v1 ^= self.v0;
+        self.v0 = self.v0.rotate_left(32);
+        self.v2 = self.v2.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(16);
+        self.v3 ^= self.v2;
+        self.v0 = self.v0.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(21);
+        self.v3 ^= self.v0;
+        self.v2 = self.v2.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(17);
+        self.v1 ^= self.v2;
+        self.v2 = self.v2.rotate_left(32);
+    }
+
+    /// Absorbs one message block. `c_rounds >= 1` (checked at
+    /// construction), so the first round needs no loop test and
+    /// SipHash-1-3 never enters the loop.
+    #[inline]
+    fn compress(&mut self, m: u64, c_rounds: u32) {
+        self.v3 ^= m;
+        self.round();
+        for _ in 1..c_rounds {
+            self.round();
+        }
+        self.v0 ^= m;
+    }
 }
 
 impl SipHasher {
@@ -50,43 +89,18 @@ impl SipHasher {
     pub fn with_rounds(k0: u64, k1: u64, c_rounds: u32, d_rounds: u32) -> SipHasher {
         assert!(c_rounds > 0 && d_rounds > 0, "round counts must be positive");
         SipHasher {
-            v0: k0 ^ 0x736f_6d65_7073_6575,
-            v1: k1 ^ 0x646f_7261_6e64_6f6d,
-            v2: k0 ^ 0x6c79_6765_6e65_7261,
-            v3: k1 ^ 0x7465_6462_7974_6573,
+            v: Lanes {
+                v0: k0 ^ 0x736f_6d65_7073_6575,
+                v1: k1 ^ 0x646f_7261_6e64_6f6d,
+                v2: k0 ^ 0x6c79_6765_6e65_7261,
+                v3: k1 ^ 0x7465_6462_7974_6573,
+            },
             c_rounds,
             d_rounds,
             buf: [0; 8],
             buf_len: 0,
             total_len: 0,
         }
-    }
-
-    #[inline]
-    fn round(&mut self) {
-        self.v0 = self.v0.wrapping_add(self.v1);
-        self.v1 = self.v1.rotate_left(13);
-        self.v1 ^= self.v0;
-        self.v0 = self.v0.rotate_left(32);
-        self.v2 = self.v2.wrapping_add(self.v3);
-        self.v3 = self.v3.rotate_left(16);
-        self.v3 ^= self.v2;
-        self.v0 = self.v0.wrapping_add(self.v3);
-        self.v3 = self.v3.rotate_left(21);
-        self.v3 ^= self.v0;
-        self.v2 = self.v2.wrapping_add(self.v1);
-        self.v1 = self.v1.rotate_left(17);
-        self.v1 ^= self.v2;
-        self.v2 = self.v2.rotate_left(32);
-    }
-
-    #[inline]
-    fn compress(&mut self, m: u64) {
-        self.v3 ^= m;
-        for _ in 0..self.c_rounds {
-            self.round();
-        }
-        self.v0 ^= m;
     }
 
     /// Absorbs bytes into the hash state.
@@ -99,7 +113,7 @@ impl SipHasher {
             bytes = &bytes[take..];
             if self.buf_len == 8 {
                 let m = u64::from_le_bytes(self.buf);
-                self.compress(m);
+                self.v.compress(m, self.c_rounds);
                 self.buf_len = 0;
             }
             if bytes.is_empty() {
@@ -108,16 +122,43 @@ impl SipHasher {
         }
         let mut chunks = bytes.chunks_exact(8);
         for chunk in &mut chunks {
-            self.compress(u64::from_le_bytes(chunk.try_into().unwrap()));
+            self.v.compress(u64::from_le_bytes(chunk.try_into().unwrap()), self.c_rounds);
         }
         let rem = chunks.remainder();
         self.buf[..rem.len()].copy_from_slice(rem);
         self.buf_len = rem.len();
     }
 
-    /// Convenience: absorbs a `u64` in little-endian byte order.
+    /// Absorbs a `u64` in little-endian byte order: the same digest as
+    /// `write(&v.to_le_bytes())`. On a block boundary the word *is* the
+    /// next message block and is compressed directly; otherwise it goes
+    /// through the byte buffer.
+    #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
+        if self.buf_len == 0 {
+            self.total_len = self.total_len.wrapping_add(8);
+            self.v.compress(v, self.c_rounds);
+        } else {
+            self.write(&v.to_le_bytes());
+        }
+    }
+
+    /// Absorbs every word of `words` as [`SipHasher::write_u64`] would.
+    /// On a block boundary the state stays in registers for the whole
+    /// slice.
+    pub fn write_u64s(&mut self, words: &[u64]) {
+        if self.buf_len != 0 {
+            for &w in words {
+                self.write(&w.to_le_bytes());
+            }
+            return;
+        }
+        self.total_len = self.total_len.wrapping_add(8 * words.len() as u64);
+        let mut v = self.v;
+        for &m in words {
+            v.compress(m, self.c_rounds);
+        }
+        self.v = v;
     }
 
     /// Finalizes and returns the 64-bit digest. Consumes the hasher.
@@ -126,12 +167,12 @@ impl SipHasher {
         last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
         last[7] = self.total_len as u8;
         let m = u64::from_le_bytes(last);
-        self.compress(m);
-        self.v2 ^= 0xFF;
+        self.v.compress(m, self.c_rounds);
+        self.v.v2 ^= 0xFF;
         for _ in 0..self.d_rounds {
-            self.round();
+            self.v.round();
         }
-        self.v0 ^ self.v1 ^ self.v2 ^ self.v3
+        self.v.v0 ^ self.v.v1 ^ self.v.v2 ^ self.v.v3
     }
 
     /// One-shot hash of a byte slice (consumes the hasher's initial state).

@@ -4,7 +4,7 @@
 use microsampler_stats::sequential::association_streaming;
 use microsampler_stats::{
     chi_squared, chi_squared_p_value, cramers_v, cramers_v_corrected, gamma, siphash13,
-    ContingencyTable, StreamingAssociation,
+    ContingencyTable, SipHasher, StreamingAssociation,
 };
 use proptest::prelude::*;
 
@@ -166,5 +166,41 @@ proptest! {
             flipped[0] ^= 0xFF;
             prop_assert_ne!(siphash13(1, 2, &flipped), h1);
         }
+    }
+
+    /// `write_u64`'s and `write_u64s`'s aligned fast paths must give the
+    /// digest of the byte stream they stand for, whatever unaligned writes
+    /// came before: each step writes a word, a run of words, or a run of
+    /// 0–11 bytes.
+    #[test]
+    fn word_writes_equal_le_bytes_after_any_write_mix(
+        steps in proptest::collection::vec(
+            (0u8..3, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..12)),
+            0..40,
+        ),
+        sip13 in any::<bool>(),
+    ) {
+        let new = || if sip13 { SipHasher::new_1_3(5, 6) } else { SipHasher::new_2_4(5, 6) };
+        let (mut fast, mut bytes) = (new(), new());
+        for (kind, v, run) in &steps {
+            match kind {
+                0 => {
+                    fast.write_u64(*v);
+                    bytes.write(&v.to_le_bytes());
+                }
+                1 => {
+                    let words: Vec<u64> = run.iter().map(|&b| v.rotate_left(b as u32)).collect();
+                    fast.write_u64s(&words);
+                    for w in &words {
+                        bytes.write(&w.to_le_bytes());
+                    }
+                }
+                _ => {
+                    fast.write(run);
+                    bytes.write(run);
+                }
+            }
+        }
+        prop_assert_eq!(fast.finish(), bytes.finish());
     }
 }
