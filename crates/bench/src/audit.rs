@@ -5,7 +5,7 @@
 //! The fixed-budget [`table5`](crate::experiments::table5) audit spends
 //! `Scale::primitive_trials` on every primitive even when Cramér's V
 //! converges in the first look. This engine instead pools the whole
-//! budget in a [`sweep::AdaptiveAllocator`] and judges each primitive's
+//! budget in a [`crate::sweep::AdaptiveAllocator`] and judges each primitive's
 //! [`SequentialAnalyzer`] confidence sequence after every granted chunk:
 //! decided primitives retire (their unspent budget reflows to the
 //! borderline ones), and each one carries a [`StopTrace`] receipt with

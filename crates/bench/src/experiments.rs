@@ -464,11 +464,9 @@ pub fn fig10(scale: &Scale) -> Fig10 {
     let equal_pc = program.symbol_addr("equal_fn");
     let inequal_pc = program.symbol_addr("inequal_fn");
     let config = CoreConfig::mega_boom().with_random_bpred(scale.seed | 1);
-    // One long machine run — no trial fan-out possible, so shard the
-    // snapshot hashing instead (threads: 0 = auto-size from the pool).
-    let trace = TraceConfig { threads: 0, ..TraceConfig::default() };
-    let (result, outputs) =
-        MemcmpKernel.run_with_outputs(config, &trials, trace).expect("memcmp runs");
+    let (result, outputs) = MemcmpKernel
+        .run_with_outputs(config, &trials, TraceConfig::default())
+        .expect("memcmp runs");
     for (t, &o) in trials.iter().zip(&outputs) {
         assert_eq!(o, MemcmpKernel.reference(t), "memcmp functional check");
     }

@@ -2,13 +2,13 @@
 //!
 //! The acceptance bar is bit-identical output at every worker count: the
 //! pooled iterations, every per-unit snapshot hash, and the rendered
-//! analysis report must not change when the trial fan-out or the sharded
-//! snapshot hashing runs on more threads.
+//! analysis report must not change when the trial fan-out or the per-unit
+//! analysis runs on more threads.
 
 use microsampler_bench::run_modexp_iterations;
 use microsampler_core::analyze;
-use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
-use microsampler_sim::{CoreConfig, IterationTrace, TraceConfig, UnitId};
+use microsampler_kernels::modexp::ModexpVariant;
+use microsampler_sim::{CoreConfig, IterationTrace, UnitId};
 
 /// The thread-count override is process-wide state, so the whole sweep
 /// lives in one test body where nothing can race it.
@@ -44,30 +44,4 @@ fn pipeline_is_bit_identical_at_every_thread_count() {
         assert_eq!(report, serial_report, "analysis report JSON, threads={threads}");
     }
     microsampler_par::set_threads(None);
-}
-
-/// Sharded snapshot hashing (`TraceConfig::threads`) must reproduce the
-/// serial fold-as-rows-arrive hashes exactly on a real kernel run.
-#[test]
-fn sharded_hashing_matches_serial_on_a_kernel_run() {
-    let kernel = ModexpKernel::new(ModexpVariant::V1MicroarchVuln, 2);
-    let key = &microsampler_kernels::inputs::random_keys(1, 2, 7)[0];
-    let serial =
-        kernel.run(CoreConfig::mega_boom(), key, TraceConfig::default()).expect("serial run");
-    for threads in [2, 7] {
-        let trace = TraceConfig { threads, ..TraceConfig::default() };
-        let sharded = kernel.run(CoreConfig::mega_boom(), key, trace).expect("sharded run");
-        assert_eq!(sharded.exit_code, serial.exit_code);
-        assert_eq!(sharded.iterations.len(), serial.iterations.len());
-        for (a, b) in sharded.iterations.iter().zip(&serial.iterations) {
-            for unit in UnitId::ALL {
-                assert_eq!(a.unit(unit).hash, b.unit(unit).hash, "{unit}, threads={threads}");
-                assert_eq!(
-                    a.unit(unit).hash_timeless,
-                    b.unit(unit).hash_timeless,
-                    "{unit} timeless, threads={threads}"
-                );
-            }
-        }
-    }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper's workload is dominated by embarrassingly parallel work:
 //! independent simulated trials (per key, per primitive, per escalation
-//! round), per-unit snapshot-hash folding, and per-unit statistical
-//! analysis. This crate provides the one primitive all three layers share:
-//! a scoped `std::thread` worker pool ([`map`] / [`map_mut`]) with
+//! round) and per-unit statistical analysis. This crate provides the one
+//! primitive both layers share: a scoped `std::thread` worker pool
+//! ([`map`]) with
 //!
 //! * a chunked work-stealing queue (workers grab index ranges from a shared
 //!   atomic cursor, so uneven task costs still balance),
@@ -45,6 +45,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! microsampler_par::set_threads(None);
 //! ```
+
+#![forbid(unsafe_code)]
 
 use microsampler_obs::{diag_warn, metrics, span};
 use std::cell::Cell;
@@ -134,8 +136,8 @@ pub fn threads() -> usize {
     available()
 }
 
-/// Whether the current thread is a pool worker. [`map`] / [`map_mut`]
-/// called from a worker run serially inline (nesting protection).
+/// Whether the current thread is a pool worker. A [`map`] called from a
+/// worker runs serially inline (nesting protection).
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -175,8 +177,8 @@ where
 }
 
 /// [`map`] with an explicit worker count (`0` = resolve via [`threads`]).
-/// Lets a caller carry its own configuration (e.g. the tracer's
-/// `TraceConfig::threads`) without touching the process-wide override.
+/// Lets a caller carry its own configuration without touching the
+/// process-wide override.
 pub fn map_with<T, R, F>(threads_requested: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -188,55 +190,6 @@ where
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
     run_pool(items.len(), workers, |i| f(i, &items[i]))
-}
-
-struct SyncPtr<T>(*mut T);
-impl<T> Clone for SyncPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SyncPtr<T> {}
-// SAFETY: the pool's stealing cursor hands every index to exactly one
-// worker, so concurrent `&mut` access through the pointer never aliases.
-unsafe impl<T: Send> Send for SyncPtr<T> {}
-unsafe impl<T: Send> Sync for SyncPtr<T> {}
-
-/// [`map`] with mutable access to each item (e.g. draining per-unit row
-/// buffers into their hashers). Same ordering, stealing, nesting and
-/// panic semantics.
-pub fn map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    map_mut_with(0, items, f)
-}
-
-/// [`map_mut`] with an explicit worker count (`0` = resolve via
-/// [`threads`]).
-pub fn map_mut_with<T, R, F>(threads_requested: usize, items: &mut [T], f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let workers = resolve(threads_requested).min(items.len());
-    if workers <= 1 || in_worker() {
-        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let base = SyncPtr(items.as_mut_ptr());
-    let n = items.len();
-    run_pool(n, workers, move |i| {
-        // Capture the `SyncPtr` wrapper, not the raw pointer field, so the
-        // closure stays `Sync` under edition-2021 disjoint capture.
-        let base = base;
-        debug_assert!(i < n);
-        // SAFETY: i < n, and the cursor assigns each index to one worker.
-        let item = unsafe { &mut *base.0.add(i) };
-        f(i, item)
-    })
 }
 
 /// Cooperative cancellation token shared between a pool run and its
@@ -665,21 +618,6 @@ mod tests {
             assert_eq!(*idx, i as u64);
             assert_eq!(*x, items[i]);
         }
-    }
-
-    #[test]
-    fn map_mut_updates_every_item_once() {
-        let _l = LOCK.lock().unwrap();
-        let mut items: Vec<u64> = vec![0; 57];
-        let returned = with_threads(4, || {
-            map_mut(&mut items, |i, slot| {
-                *slot += i as u64 + 1;
-                *slot
-            })
-        });
-        let want: Vec<u64> = (0..57).map(|i| i + 1).collect();
-        assert_eq!(items, want);
-        assert_eq!(returned, want);
     }
 
     #[test]

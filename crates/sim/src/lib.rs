@@ -44,6 +44,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod config;
 mod core;

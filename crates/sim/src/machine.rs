@@ -151,9 +151,6 @@ impl Machine {
         };
         let mut stats = self.core.stats.clone();
         stats.cycles = self.core.cycle;
-        // A program can exit without committing SCR_END; fold any sharded
-        // hashing work still deferred before handing the traces out.
-        self.core.tracer.finalize();
         let iterations = std::mem::take(&mut self.core.tracer.iterations);
         let fault_counts = self.fault_counts();
         let pipeline = self.core.pipeline;

@@ -124,22 +124,15 @@ impl fmt::Display for UnitId {
 }
 
 /// Tracer configuration.
-#[derive(Clone, Copy, Debug)]
+///
+/// Snapshot hashes are always SipHash-1-3 (CPython's default) under the
+/// fixed key `(0x4d53_4d50, 0x4c52_5f31)`, so a hash value means the same
+/// thing in every run, log parse and journal.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct TraceConfig {
     /// Retain raw per-cycle matrices in each [`UnitTrace`] (memory-hungry;
     /// intended for small runs, figures and tests).
     pub keep_matrices: bool,
-    /// SipHash key for snapshot hashing.
-    pub hash_key: (u64, u64),
-    /// Use SipHash-1-3 (CPython's default) when true, SipHash-2-4 otherwise.
-    pub sip13: bool,
-    /// Snapshot-hash sharding: `1` (default) folds rows into the per-unit
-    /// hashers as they arrive; `0` shards the folding across
-    /// [`microsampler_par::threads`] workers; `N > 1` uses exactly `N`.
-    /// Sharding buffers rows and folds per unit at `SCR_END` (or
-    /// [`Tracer::finalize`]), so every hash, feature set and matrix is
-    /// **bit-identical** to the serial fold — only the wall-clock changes.
-    pub threads: usize,
     /// Measurement-fault injection: when set, the tracer drops whole
     /// snapshot cycles ([`FaultConfig::drop_row_per_64k`]) and flips
     /// snapshot bits ([`FaultConfig::bitflip_per_64k`]) on a
@@ -149,26 +142,10 @@ pub struct TraceConfig {
     pub faults: Option<FaultConfig>,
 }
 
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig {
-            keep_matrices: false,
-            hash_key: (0x4d53_4d50, 0x4c52_5f31),
-            sip13: true,
-            threads: 1,
-            faults: None,
-        }
-    }
-}
-
-impl TraceConfig {
-    fn hasher(&self) -> SipHasher {
-        if self.sip13 {
-            SipHasher::new_1_3(self.hash_key.0, self.hash_key.1)
-        } else {
-            SipHasher::new_2_4(self.hash_key.0, self.hash_key.1)
-        }
-    }
+/// The snapshot hasher: SipHash-1-3 under the fixed key documented on
+/// [`TraceConfig`].
+fn snapshot_hasher() -> SipHasher {
+    SipHasher::new_1_3(0x4d53_4d50, 0x4c52_5f31)
 }
 
 /// Per-iteration summary of one unit's snapshot (see module docs).
@@ -262,35 +239,19 @@ struct UnitBuilder {
     order: Vec<u64>,
     rows: Option<Vec<Vec<u64>>>,
     cycle_rows: u64,
-    /// Length-prefixed rows awaiting [`UnitBuilder::drain_pending`]
-    /// (sharded-hashing mode only; `None` folds eagerly).
-    pending: Option<Vec<u64>>,
 }
 
 impl UnitBuilder {
-    fn new(cfg: &TraceConfig, deferred: bool) -> UnitBuilder {
+    fn new(cfg: &TraceConfig) -> UnitBuilder {
         UnitBuilder {
-            hasher: cfg.hasher(),
-            timeless_hasher: cfg.hasher(),
+            hasher: snapshot_hasher(),
+            timeless_hasher: snapshot_hasher(),
             last_row: None,
             seen: HashSet::default(),
             order: Vec::new(),
             rows: cfg.keep_matrices.then(Vec::new),
             cycle_rows: 0,
-            pending: deferred.then(Vec::new),
         }
-    }
-
-    /// Accepts one row: buffers it in sharded mode, folds it immediately
-    /// otherwise. Returns the number of bytes fed to the hashers (0 while
-    /// buffering; the fold reports them from the worker instead).
-    fn push_row(&mut self, row: &[u64]) -> u64 {
-        if let Some(pending) = &mut self.pending {
-            pending.push(row.len() as u64);
-            pending.extend_from_slice(row);
-            return 0;
-        }
-        self.fold_row(row)
     }
 
     /// Folds one row into the hash/feature accumulators; returns the
@@ -327,21 +288,6 @@ impl UnitBuilder {
         hashed
     }
 
-    /// Folds every buffered row (sharded mode); returns the bytes hashed.
-    /// Runs on a pool worker — touches only this builder's state.
-    fn drain_pending(&mut self) -> u64 {
-        let Some(pending) = self.pending.take() else { return 0 };
-        let mut hashed = 0;
-        let mut i = 0;
-        while i < pending.len() {
-            let len = pending[i] as usize;
-            i += 1;
-            hashed += self.fold_row(&pending[i..i + len]);
-            i += len;
-        }
-        hashed
-    }
-
     fn finish(self) -> UnitTrace {
         UnitTrace {
             hash: self.hasher.finish(),
@@ -362,33 +308,13 @@ struct InProgress {
     units: Vec<UnitBuilder>,
 }
 
-/// A completed iteration whose unit builders still hold buffered rows
-/// (sharded-hashing mode); folded in bulk by [`Tracer::finalize`].
-struct PendingIteration {
-    label: u64,
-    start_cycle: u64,
-    end_cycle: u64,
-    dropped: u64,
-    pipeline: PipelineStats,
-    units: Vec<UnitBuilder>,
-}
-
 /// Collects per-cycle unit rows into labeled [`IterationTrace`]s,
-/// optionally also emitting the text log format.
-///
-/// With [`TraceConfig::threads`] ≠ 1 the per-unit snapshot folding is
-/// **sharded**: rows are buffered per unit and folded across a worker pool
-/// when the security-critical region closes (`SCR_END` commit or
-/// [`Tracer::finalize`]), producing bit-identical summaries. Until then,
-/// [`Tracer::iterations`] only holds already-folded iterations.
+/// optionally also emitting the text log format. Each row is folded into
+/// its unit's hashers as it arrives.
 pub struct Tracer {
     cfg: TraceConfig,
     in_scr: bool,
     current: Option<InProgress>,
-    /// Completed-but-unfolded iterations in commit order (sharded mode).
-    deferred: Vec<PendingIteration>,
-    /// `cfg.threads != 1`: buffer rows and fold on the pool.
-    sharded: bool,
     /// Completed iterations in commit order.
     pub iterations: Vec<IterationTrace>,
     /// Unit rows sampled so far (telemetry volume counter).
@@ -419,13 +345,10 @@ pub struct Tracer {
 impl Tracer {
     /// Creates a tracer.
     pub fn new(cfg: TraceConfig) -> Tracer {
-        let sharded = cfg.threads != 1 && microsampler_par::resolve(cfg.threads) > 1;
         Tracer {
             cfg,
             in_scr: false,
             current: None,
-            deferred: Vec::new(),
-            sharded,
             iterations: Vec::new(),
             rows_sampled: 0,
             hash_bytes: 0,
@@ -463,28 +386,25 @@ impl Tracer {
         }
     }
 
-    /// Handles an `SCR_END` marker commit. In sharded mode this is where
-    /// the buffered rows of the region's iterations are folded.
+    /// Handles an `SCR_END` marker commit.
     pub fn scr_end(&mut self, cycle: u64) {
         self.in_scr = false;
         if let Some(log) = &mut self.log {
             log.push_str(&format!("M SCR_END {cycle}\n"));
         }
-        self.finalize();
     }
 
     /// Handles an `ITER_START` marker commit. An unterminated previous
-    /// iteration is finalized first.
+    /// iteration is closed first.
     pub fn iter_start(&mut self, cycle: u64, label: u64) {
         self.iter_end(cycle);
         self.current_pipeline = PipelineStats::default();
-        let sharded = self.sharded;
         self.current = Some(InProgress {
             label,
             start_cycle: cycle,
             last_cycle: cycle,
             dropped: 0,
-            units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(&self.cfg, sharded)).collect(),
+            units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(&self.cfg)).collect(),
         });
         if let Some(log) = &mut self.log {
             log.push_str(&format!("M ITER_START {cycle} {label}\n"));
@@ -511,61 +431,17 @@ impl Tracer {
     /// Handles an `ITER_END` marker commit.
     pub fn iter_end(&mut self, cycle: u64) {
         if let Some(cur) = self.current.take() {
-            let pipeline = std::mem::take(&mut self.current_pipeline);
-            if self.sharded {
-                self.deferred.push(PendingIteration {
-                    label: cur.label,
-                    start_cycle: cur.start_cycle,
-                    end_cycle: cur.last_cycle,
-                    dropped: cur.dropped,
-                    pipeline,
-                    units: cur.units,
-                });
-            } else {
-                self.iterations.push(IterationTrace {
-                    label: cur.label,
-                    start_cycle: cur.start_cycle,
-                    end_cycle: cur.last_cycle,
-                    dropped_cycles: cur.dropped,
-                    pipeline,
-                    units: cur.units.into_iter().map(UnitBuilder::finish).collect(),
-                });
-            }
+            self.iterations.push(IterationTrace {
+                label: cur.label,
+                start_cycle: cur.start_cycle,
+                end_cycle: cur.last_cycle,
+                dropped_cycles: cur.dropped,
+                pipeline: std::mem::take(&mut self.current_pipeline),
+                units: cur.units.into_iter().map(UnitBuilder::finish).collect(),
+            });
             if let Some(log) = &mut self.log {
                 log.push_str(&format!("M ITER_END {cycle}\n"));
             }
-        }
-    }
-
-    /// Folds every deferred iteration's buffered rows across the worker
-    /// pool and appends the results to [`Tracer::iterations`] in commit
-    /// order. No-op in serial mode or when nothing is pending; idempotent.
-    /// Called automatically at `SCR_END`, by `Machine::run` teardown and by
-    /// [`parse_text_log`]; only needed directly when driving a [`Tracer`]
-    /// by hand in sharded mode without `SCR_END`.
-    pub fn finalize(&mut self) {
-        if self.deferred.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.deferred);
-        // One fold task per (iteration, unit): wide units from different
-        // iterations balance across workers via chunked stealing. Each
-        // task touches one builder, so hashes cannot depend on schedule.
-        let mut builders: Vec<&mut UnitBuilder> =
-            pending.iter_mut().flat_map(|p| p.units.iter_mut()).collect();
-        let hashed = microsampler_par::map_mut_with(self.cfg.threads, &mut builders, |_, b| {
-            b.drain_pending()
-        });
-        self.hash_bytes += hashed.iter().sum::<u64>();
-        for p in pending {
-            self.iterations.push(IterationTrace {
-                label: p.label,
-                start_cycle: p.start_cycle,
-                end_cycle: p.end_cycle,
-                dropped_cycles: p.dropped,
-                pipeline: p.pipeline,
-                units: p.units.into_iter().map(UnitBuilder::finish).collect(),
-            });
         }
     }
 
@@ -582,7 +458,7 @@ impl Tracer {
         let row: &[u64] = flipped.as_deref().unwrap_or(row);
         let cur = self.current.as_mut().expect("checked above");
         self.rows_sampled += 1;
-        self.hash_bytes += cur.units[unit.index()].push_row(row);
+        self.hash_bytes += cur.units[unit.index()].fold_row(row);
         if self.cfg.keep_matrices {
             self.matrix_cells += row.len() as u64;
         }
@@ -753,8 +629,6 @@ pub fn parse_text_log(text: &str, cfg: TraceConfig) -> Result<Vec<IterationTrace
     }
     // An unterminated trailing iteration (truncated log) is dropped, like
     // the live tracer drops an iteration whose ITER_END never commits.
-    // A truncated log can also miss SCR_END; fold any deferred work.
-    tracer.finalize();
     Ok(tracer.iterations)
 }
 
@@ -785,8 +659,7 @@ mod tests {
     /// The fold as first written: a `BTreeSet` insert for every non-zero
     /// value of every changed row.
     fn reference_fold(rows: &[Vec<u64>]) -> UnitTrace {
-        let cfg = TraceConfig::default();
-        let (mut full, mut timeless) = (cfg.hasher(), cfg.hasher());
+        let (mut full, mut timeless) = (snapshot_hasher(), snapshot_hasher());
         let mut features = BTreeSet::new();
         let mut order = Vec::new();
         let mut last: Option<&Vec<u64>> = None;
@@ -835,9 +708,9 @@ mod tests {
                 };
                 rows.push(row);
             }
-            let mut b = UnitBuilder::new(&TraceConfig::default(), false);
+            let mut b = UnitBuilder::new(&TraceConfig::default());
             for row in &rows {
-                b.push_row(row);
+                b.fold_row(row);
             }
             proptest::prop_assert_eq!(b.finish(), reference_fold(&rows));
         }
@@ -929,84 +802,12 @@ mod tests {
     #[test]
     fn rows_of_different_widths_hash_differently() {
         let cfg = TraceConfig::default();
-        let mut a = UnitBuilder::new(&cfg, false);
-        a.push_row(&[1, 0]);
-        a.push_row(&[2, 0]);
-        let mut b = UnitBuilder::new(&cfg, false);
-        b.push_row(&[1, 0, 2, 0]);
+        let mut a = UnitBuilder::new(&cfg);
+        a.fold_row(&[1, 0]);
+        a.fold_row(&[2, 0]);
+        let mut b = UnitBuilder::new(&cfg);
+        b.fold_row(&[1, 0, 2, 0]);
         assert_ne!(a.finish().hash, b.finish().hash);
-    }
-
-    #[test]
-    fn hash13_vs_24_differ() {
-        let mut cfg = TraceConfig::default();
-        let mut a = UnitBuilder::new(&cfg, false);
-        a.push_row(&[5]);
-        cfg.sip13 = false;
-        let mut b = UnitBuilder::new(&cfg, false);
-        b.push_row(&[5]);
-        assert_ne!(a.finish().hash, b.finish().hash);
-    }
-
-    #[test]
-    fn deferred_builder_folds_identically() {
-        let cfg = TraceConfig::default();
-        let rows: [&[u64]; 4] = [&[1, 2, 0], &[1, 2, 0], &[3], &[0, 0, 7]];
-        let mut eager = UnitBuilder::new(&cfg, false);
-        let eager_bytes: u64 = rows.iter().map(|r| eager.push_row(r)).sum();
-        let mut deferred = UnitBuilder::new(&cfg, true);
-        for r in rows {
-            assert_eq!(deferred.push_row(r), 0, "buffering must not report hashed bytes");
-        }
-        assert_eq!(deferred.drain_pending(), eager_bytes);
-        assert_eq!(deferred.finish(), eager.finish());
-    }
-
-    /// Sharded hashing is an execution strategy, not a semantic: every
-    /// hash, feature set, ordering and counter must be bit-identical to
-    /// the serial fold at any worker count.
-    #[test]
-    fn sharded_tracer_matches_serial_exactly() {
-        let drive = |threads: usize| {
-            let mut t = Tracer::new(TraceConfig { threads, ..TraceConfig::default() });
-            t.scr_start(0);
-            for i in 0..6u64 {
-                t.iter_start(i * 10, i % 2);
-                for c in 0..5u64 {
-                    t.begin_cycle(i * 10 + c);
-                    for (u, unit) in UnitId::ALL.into_iter().enumerate() {
-                        t.record_row(unit, &[i * 100 + c, u as u64, c % 2]);
-                    }
-                }
-                t.iter_end(i * 10 + 6);
-            }
-            t.scr_end(100);
-            t
-        };
-        let serial = drive(1);
-        for threads in [2, 7, 64] {
-            let sharded = drive(threads);
-            assert_eq!(sharded.iterations, serial.iterations, "threads={threads}");
-            assert_eq!(sharded.hash_bytes, serial.hash_bytes, "threads={threads}");
-            assert_eq!(sharded.rows_sampled, serial.rows_sampled);
-        }
-    }
-
-    #[test]
-    fn sharded_finalize_is_idempotent_and_flushes_without_scr_end() {
-        let mut t = Tracer::new(TraceConfig { threads: 4, ..TraceConfig::default() });
-        t.scr_start(0);
-        t.iter_start(1, 3);
-        t.begin_cycle(2);
-        t.record_row(UnitId::SqAddr, &[0xabc]);
-        t.iter_end(3);
-        assert!(t.iterations.is_empty(), "fold deferred until finalize");
-        t.finalize();
-        assert_eq!(t.iterations.len(), 1);
-        assert_eq!(t.iterations[0].label, 3);
-        assert!(t.iterations[0].unit(UnitId::SqAddr).features.contains(&0xabc));
-        t.finalize();
-        assert_eq!(t.iterations.len(), 1, "second finalize must be a no-op");
     }
 
     fn drive_faulted(faults: Option<FaultConfig>) -> Tracer {
@@ -1105,15 +906,103 @@ mod tests {
         assert!(parse_text_log(&too_many, TraceConfig::default()).is_err());
     }
 
-    #[test]
-    fn sharded_log_round_trip_matches_serial() {
-        let mut serial = sample_tracer(false);
-        serial.finalize();
-        let parsed = parse_text_log(
-            serial.log_text().unwrap(),
-            TraceConfig { threads: 5, ..TraceConfig::default() },
-        )
-        .unwrap();
-        assert_eq!(parsed, serial.iterations);
+    /// Every record kind the tracer writes: markers, rows and a pipeline
+    /// record from [`sample_tracer`], dropped cycles from [`drive_faulted`].
+    fn real_log_lines() -> Vec<String> {
+        let logs = [sample_tracer(false), drive_faulted(Some(heavy_faults()))];
+        logs.iter().flat_map(|t| t.log_text().unwrap().lines().map(String::from)).collect()
+    }
+
+    /// Lines no tracer writes, aimed at the parser's edges: missing,
+    /// extra and unparsable fields, extreme cycles, labels and values.
+    fn garbage_lines() -> Vec<String> {
+        let max = u64::MAX;
+        let mut lines: Vec<String> = [
+            "",
+            "#",
+            "X what",
+            "M",
+            "M ITER_START",
+            "M ITER_START 5",
+            "M BOGUS 1",
+            "C",
+            "C 5",
+            "C -1 SQ-ADDR 1",
+            "C 5 NOT-A-UNIT 1",
+            "C 5 ROB-PC",
+            "C 5 SQ-ADDR zz",
+            "C 5 SQ-ADDR 1ffffffffffffffff",
+            "D",
+            "D x",
+            "P",
+            "P 1 2",
+            "\u{fffd} \u{0}",
+        ]
+        .map(String::from)
+        .to_vec();
+        lines.extend([
+            format!("M ITER_START {max} {max}"),
+            format!("M ITER_END {max}"),
+            format!("M SCR_END {max}"),
+            format!("C {max} LQ-PC {max:x} 0 0"),
+            format!("D {max}"),
+            format!("P{}", format!(" {max}").repeat(PipelineStats::FIELDS)),
+            format!("P{}", " 1".repeat(PipelineStats::FIELDS + 1)),
+        ]);
+        lines
+    }
+
+    /// Cuts `s` at byte `at % (s.len() + 1)`, backing off to a char
+    /// boundary.
+    fn cut(s: &mut String, at: usize) {
+        let mut len = at % (s.len() + 1);
+        while !s.is_char_boundary(len) {
+            len -= 1;
+        }
+        s.truncate(len);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// A real log whose lines are truncated, duplicated, reordered,
+        /// deleted or interleaved with garbage, then cut at a random byte,
+        /// parses to `Ok` or to a `ParseLogError` naming one of its lines,
+        /// with or without fault injection — it never panics.
+        #[test]
+        fn parse_text_log_never_panics_on_mangled_logs(
+            edits in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                0..12,
+            ),
+            end in proptest::prelude::any::<usize>(),
+        ) {
+            let mut lines = real_log_lines();
+            let garbage = garbage_lines();
+            for (op, at, arg) in edits {
+                let (i, j) = (at % lines.len(), arg % lines.len());
+                match op {
+                    0 => cut(&mut lines[i], arg),
+                    1 => lines.insert(i, lines[i].clone()),
+                    2 => lines.swap(i, j),
+                    3 => lines.insert(i, garbage[arg % garbage.len()].clone()),
+                    _ if lines.len() > 1 => drop(lines.remove(i)),
+                    _ => {}
+                }
+            }
+            let mut text = lines.join("\n");
+            cut(&mut text, end);
+            let line_count = text.lines().count() as u32;
+            let faulted = TraceConfig { keep_matrices: true, faults: Some(heavy_faults()) };
+            for cfg in [TraceConfig::default(), faulted] {
+                match std::panic::catch_unwind(|| parse_text_log(&text, cfg)) {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(e)) => proptest::prop_assert!(
+                        (1..=line_count).contains(&e.line),
+                        "{e}: not one of the input's {line_count} lines"
+                    ),
+                    Err(_) => panic!("parse_text_log panicked on:\n{text}"),
+                }
+            }
+        }
     }
 }

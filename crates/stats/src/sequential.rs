@@ -89,7 +89,7 @@ pub struct SeqConfig {
     /// spending series.
     pub alpha: f64,
     /// Scale of the confidence radius `sqrt(scale * spend / n)`.
-    /// `0.5` is the Hoeffding rate for a [0,1]-bounded mean; the default
+    /// `0.5` is the Hoeffding rate for a `[0,1]`-bounded mean; the default
     /// `0.25` is calibrated to the snapshot-table null noise floor.
     pub boundary_scale: f64,
     /// Cramér's V threshold for a strong association (the paper's 0.5).
