@@ -183,6 +183,8 @@ pub(crate) struct Core {
     agu_busy: Vec<u64>,
     mul_inflight: Vec<LongOp>,
     div_busy: Option<LongOp>,
+    /// Long ops finishing this cycle (scratch reused every cycle).
+    long_done: Vec<LongOp>,
     // Per-cycle trace scratch.
     nlp_issued: Vec<u64>,
     dcache_reqs: Vec<u64>,
@@ -273,6 +275,7 @@ impl Core {
             agu_busy: vec![0; cfg.n_agus],
             mul_inflight: Vec::new(),
             div_busy: None,
+            long_done: Vec::new(),
             nlp_issued: Vec::new(),
             dcache_reqs: Vec::new(),
             trace_row: Vec::new(),
@@ -339,15 +342,6 @@ impl Core {
     fn rob_index(&self, seq: u64) -> Option<usize> {
         let idx = seq.checked_sub(self.rob_base_seq)? as usize;
         (idx < self.rob.len()).then_some(idx)
-    }
-
-    fn uop(&self, seq: u64) -> &Uop {
-        &self.rob[self.rob_index(seq).expect("live uop")]
-    }
-
-    fn uop_mut(&mut self, seq: u64) -> &mut Uop {
-        let idx = self.rob_index(seq).expect("live uop");
-        &mut self.rob[idx]
     }
 
     fn preg_of(&self, r: Reg) -> PReg {
@@ -673,7 +667,7 @@ impl Core {
 
     fn complete_long_ops(&mut self) {
         let now = self.cycle;
-        let mut done: Vec<LongOp> = Vec::new();
+        let mut done = std::mem::take(&mut self.long_done);
         self.mul_inflight.retain(|op| {
             if op.done_cycle <= now {
                 done.push(*op);
@@ -688,16 +682,16 @@ impl Core {
                 self.div_busy = None;
             }
         }
-        for op in done {
-            if self.rob_index(op.seq).is_none() {
+        for op in done.drain(..) {
+            let Some(idx) = self.rob_index(op.seq) else {
                 continue; // squashed while executing
-            }
-            let prd = self.uop(op.seq).prd;
-            if let Some(prd) = prd {
+            };
+            if let Some(prd) = self.rob[idx].prd {
                 self.write_preg(prd, op.value);
             }
-            self.uop_mut(op.seq).completed = true;
+            self.rob[idx].completed = true;
         }
+        self.long_done = done;
     }
 
     /// Writes a physical register whose value is usable immediately
@@ -728,15 +722,13 @@ impl Core {
     fn lsu_tick(&mut self) {
         // Complete pending loads.
         let now = self.cycle;
-        let mut completed_loads: Vec<(u64, u64)> = Vec::new(); // (seq, value_raw_addr)
-        for e in self.ldq.iter_mut() {
+        for i in 0..self.ldq.len() {
+            let e = &self.ldq[i];
             if e.state == LdState::Pending && e.done_cycle <= now {
-                e.state = LdState::Done;
-                completed_loads.push((e.seq, e.addr.expect("pending load has addr")));
+                let size = e.size;
+                let raw = self.mem.read_le(e.addr.expect("pending load has addr"), size);
+                self.finish_load_with_value(i, raw & mask(size));
             }
-        }
-        for (seq, addr) in completed_loads {
-            self.finish_load(seq, addr);
         }
         // An injected MSHR-stall window (or the permanent wedge) freezes
         // new LSU work: no store drains, no new load issues. Completions
@@ -746,98 +738,78 @@ impl Core {
             self.pipeline.fault_stall_cycles += 1;
         }
         // Drain committed stores.
-        let mut drain_reqs: Vec<(u64, u64)> = Vec::new();
-        if !stalled {
-            for e in self.stq.iter_mut() {
-                if e.state == StState::Draining {
-                    let addr = e.addr.expect("draining store has addr");
-                    drain_reqs.push((e.seq, addr));
-                }
+        let drainable = if stalled { 0 } else { self.stq.len() };
+        for i in 0..drainable {
+            let e = &mut self.stq[i];
+            if e.state != StState::Draining {
+                continue;
             }
-        }
-        for (seq, addr) in drain_reqs {
+            let addr = e.addr.expect("draining store has addr");
             // First drain attempt translates through the TLB.
             let mut extra = 0;
-            let tlb_pending = {
-                let e = self.stq.iter().find(|e| e.seq == seq).expect("draining store");
-                !e.tlb_done
-            };
-            if tlb_pending {
+            if !e.tlb_done {
+                e.tlb_done = true;
                 if self.tlb.access(addr) {
                     self.stats.tlb_hits += 1;
                 } else {
                     self.stats.tlb_misses += 1;
                     extra = self.cfg.tlb_miss_latency;
                 }
-                if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
-                    e.tlb_done = true;
-                }
             }
             self.dcache_reqs.push(addr);
-            let access = self.l1d.access(addr, now + extra, &self.mem);
-            let (state, done) = match access {
+            let done = match self.l1d.access(addr, now + extra, &self.mem) {
                 Access::Hit(c) => {
                     self.stats.l1d_hits += 1;
-                    (StState::Drained, c)
+                    c
                 }
                 Access::Miss(c) => {
                     self.stats.l1d_misses += 1;
                     self.maybe_prefetch(addr);
-                    (StState::Drained, c)
+                    c
                 }
                 Access::Retry => {
                     self.pipeline.lsu_retry_events += 1;
-                    (StState::Draining, 0)
+                    continue;
                 }
             };
-            if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
-                if state == StState::Drained {
-                    e.state = StState::Drained;
-                    e.drain_done = done + extra;
-                }
-            }
+            let e = &mut self.stq[i];
+            e.state = StState::Drained;
+            e.drain_done = done + extra;
         }
         self.stq.retain(|e| !(e.state == StState::Drained && e.drain_done <= now));
         // Mark stores ready when address and data are both known.
-        let mut data_updates: Vec<(u64, u64)> = Vec::new();
-        for e in self.stq.iter() {
-            if e.state == StState::WaitData {
-                let u = &self.rob[self.rob_index(e.seq).expect("live store")];
-                if self.preg_ready(u.ps2) {
-                    data_updates.push((e.seq, self.read_preg(u.ps2.unwrap_or(0))));
-                }
+        for i in 0..self.stq.len() {
+            if self.stq[i].state != StState::WaitData {
+                continue;
             }
-        }
-        for (seq, data) in data_updates {
-            if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
+            let idx = self.rob_index(self.stq[i].seq).expect("live store");
+            let ps2 = self.rob[idx].ps2;
+            if self.preg_ready(ps2) {
+                let data = self.read_preg(ps2.unwrap_or(0));
+                let e = &mut self.stq[i];
                 e.data = Some(data);
                 e.state = StState::Ready;
+                self.rob[idx].completed = true;
             }
-            self.uop_mut(seq).completed = true;
         }
         // Start memory accesses for ready loads (up to 2 per cycle).
         let mut started = 0;
-        let ready: Vec<u64> = if stalled {
-            Vec::new()
-        } else {
-            self.ldq.iter().filter(|e| e.state == LdState::Ready).map(|e| e.seq).collect()
-        };
-        for seq in ready {
+        let startable = if stalled { 0 } else { self.ldq.len() };
+        for i in 0..startable {
             if started >= 2 {
                 break;
             }
-            if self.try_start_load(seq) {
+            if self.ldq[i].state == LdState::Ready && self.try_start_load(i) {
                 started += 1;
             }
         }
     }
 
-    /// Attempts to start the memory access of a load whose address is known.
-    fn try_start_load(&mut self, seq: u64) -> bool {
-        let (addr, size) = {
-            let e = self.ldq.iter().find(|e| e.seq == seq).expect("load in LDQ");
-            (e.addr.expect("ready load has addr"), e.size)
-        };
+    /// Attempts to start the memory access of LDQ entry `i`, a load whose
+    /// address is known.
+    fn try_start_load(&mut self, i: usize) -> bool {
+        let LdqEntry { seq, addr, size, .. } = self.ldq[i];
+        let addr = addr.expect("ready load has addr");
         // Memory disambiguation against older stores.
         let mut forward: Option<u64> = None;
         for s in self.stq.iter().rev() {
@@ -870,13 +842,12 @@ impl Core {
         if let Some(value) = forward {
             // Store-to-load forwarding: the value never touches the cache.
             self.stats.stl_forwards += 1;
-            self.finish_load_with_value(seq, value);
+            self.finish_load_with_value(i, value);
             return true;
         }
         // TLB.
-        let entry = self.ldq.iter().find(|e| e.seq == seq).expect("load");
-        let mut extra = entry.extra_delay;
-        if !entry.tlb_done {
+        let mut extra = self.ldq[i].extra_delay;
+        if !self.ldq[i].tlb_done {
             if self.tlb.access(addr) {
                 self.stats.tlb_hits += 1;
             } else {
@@ -885,33 +856,27 @@ impl Core {
             }
         }
         self.dcache_reqs.push(addr);
-        let access = self.l1d.access(addr, now + extra, &self.mem);
-        match access {
+        self.ldq[i].tlb_done = true;
+        let done = match self.l1d.access(addr, now + extra, &self.mem) {
             Access::Hit(c) => {
                 self.stats.l1d_hits += 1;
-                let e = self.ldq.iter_mut().find(|e| e.seq == seq).expect("load");
-                e.tlb_done = true;
-                e.state = LdState::Pending;
-                e.done_cycle = c + extra;
-                true
+                c
             }
             Access::Miss(c) => {
                 self.stats.l1d_misses += 1;
                 self.maybe_prefetch(addr);
-                let e = self.ldq.iter_mut().find(|e| e.seq == seq).expect("load");
-                e.tlb_done = true;
-                e.state = LdState::Pending;
-                e.done_cycle = c + extra;
-                true
+                c
             }
             Access::Retry => {
                 self.pipeline.lsu_retry_events += 1;
-                let e = self.ldq.iter_mut().find(|e| e.seq == seq).expect("load");
-                e.tlb_done = true;
-                e.extra_delay = extra;
-                false
+                self.ldq[i].extra_delay = extra;
+                return false;
             }
-        }
+        };
+        let e = &mut self.ldq[i];
+        e.state = LdState::Pending;
+        e.done_cycle = done + extra;
+        true
     }
 
     fn maybe_prefetch(&mut self, addr: u64) {
@@ -924,28 +889,17 @@ impl Core {
         }
     }
 
-    fn finish_load(&mut self, seq: u64, addr: u64) {
-        let size = self.ldq.iter().find(|e| e.seq == seq).expect("load").size;
-        let raw = self.mem.read_le(addr, size);
-        self.finish_load_with_value(seq, raw & mask(size));
-    }
-
-    fn finish_load_with_value(&mut self, seq: u64, raw: u64) {
-        if let Some(e) = self.ldq.iter_mut().find(|e| e.seq == seq) {
-            e.state = LdState::Done;
-        }
-        let (op, prd) = {
-            let u = self.uop(seq);
-            match u.inst {
-                Inst::Load { op, .. } => (op, u.prd),
-                _ => unreachable!("LDQ entry refers to a load"),
-            }
-        };
+    /// Completes LDQ entry `i` with the (masked) loaded bytes `raw`.
+    fn finish_load_with_value(&mut self, i: usize, raw: u64) {
+        self.ldq[i].state = LdState::Done;
+        let idx = self.rob_index(self.ldq[i].seq).expect("live uop");
+        let u = &self.rob[idx];
+        let Inst::Load { op, .. } = u.inst else { unreachable!("LDQ entry refers to a load") };
         let value = interp::extend_load(op, raw);
-        if let Some(prd) = prd {
+        if let Some(prd) = u.prd {
             self.write_preg(prd, value);
         }
-        let u = self.uop_mut(seq);
+        let u = &mut self.rob[idx];
         u.result = value;
         u.completed = true;
     }
@@ -959,15 +913,17 @@ impl Core {
         let mut alus_used = 0;
         let mut agus_used = 0;
         let mut mul_issued = false;
+        // Issued (and stale) slots are overwritten with `ISSUED` and
+        // dropped by one `retain` at the end.
+        const ISSUED: u64 = u64::MAX;
         self.iq.sort_unstable();
-        let candidates: Vec<u64> = self.iq.clone();
-        let mut remove: Vec<u64> = Vec::new();
-        for seq in candidates {
+        for slot in 0..self.iq.len() {
             if issued >= self.cfg.issue_width {
                 break;
             }
+            let seq = self.iq[slot];
             let Some(idx) = self.rob_index(seq) else {
-                remove.push(seq);
+                self.iq[slot] = ISSUED;
                 continue;
             };
             let (ps1, ps2, inst) = {
@@ -1060,10 +1016,10 @@ impl Core {
                     self.execute_alu(seq, a, b);
                 }
             }
-            remove.push(seq);
+            self.iq[slot] = ISSUED;
             issued += 1;
         }
-        self.iq.retain(|s| !remove.contains(s));
+        self.iq.retain(|&s| s != ISSUED);
         self.pipeline.alu_busy += alus_used as u64;
         self.pipeline.agu_busy += agus_used as u64;
     }
