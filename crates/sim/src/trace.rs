@@ -4,12 +4,23 @@
 //! reports one row of values per tracked unit (Table IV). Rows are folded
 //! into per-iteration summaries:
 //!
-//! * a streaming **snapshot hash** over the full 2-D matrix (rows × cycles),
+//! * a **snapshot hash** over the full 2-D matrix (rows × cycles),
 //! * a **timeless hash** with consecutive duplicate rows consolidated
 //!   (the timing-removal transform of Fig. 9),
 //! * the **feature set** (distinct non-zero values) for uniqueness analysis,
 //! * the **feature order** (first-occurrence sequence) for ordering analysis,
 //! * optionally the **raw matrix** (for small runs, figures and tests).
+//!
+//! The fold is run-length: a row equal to the unit's previous row only
+//! extends the current run. A distinct row is hashed once, length word
+//! first, into a 64-bit *row digest*. The timeless hash absorbs the digest
+//! of each distinct row; the snapshot hash absorbs `(digest, run length)`
+//! as each run closes. Up to 64-bit collisions, two matrices therefore get
+//! the same snapshot hash exactly when they are equal, and the same
+//! timeless hash exactly when they are equal after consecutive duplicate
+//! rows are merged. The contingency tables (§V-C) only ask which
+//! iterations share a hash, so any fold with these two properties gives
+//! the same verdicts; the hash values themselves are specific to this fold.
 //!
 //! A text-log path ([`Tracer::enable_log`] / [`parse_text_log`]) mirrors the
 //! paper's simulator-log-then-parse pipeline and is checked in tests to
@@ -151,9 +162,13 @@ fn snapshot_hasher() -> SipHasher {
 /// Per-iteration summary of one unit's snapshot (see module docs).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitTrace {
-    /// Snapshot hash over the full matrix.
+    /// Snapshot hash over the full matrix: the run-length fold of
+    /// `(row digest, run length)` over the matrix's runs of equal rows.
+    /// Equal exactly for equal matrices (up to 64-bit collisions).
     pub hash: u64,
-    /// Snapshot hash with consecutive duplicate rows consolidated.
+    /// Snapshot hash with consecutive duplicate rows consolidated: the fold
+    /// of the row digests of the matrix's runs. Equal exactly for matrices
+    /// that are equal once consecutive duplicate rows are merged.
     pub hash_timeless: u64,
     /// Distinct non-zero values observed: always exactly the values of
     /// `order` (the journal decoder rebuilds it from `order`).
@@ -229,10 +244,18 @@ impl Hasher for MulShift {
     }
 }
 
+/// One unit's fold for the open iteration (see module docs).
 struct UnitBuilder {
+    /// Absorbs `(row digest, run length)` as each run of equal rows closes.
     hasher: SipHasher,
+    /// Absorbs the row digest of each run.
     timeless_hasher: SipHasher,
+    /// The current run's row; `None` before the first row.
     last_row: Option<Vec<u64>>,
+    /// Row digest of `last_row`.
+    last_digest: u64,
+    /// Length of the current run (0 before the first row).
+    run: u64,
     /// Membership index over `order` (the feature set is built from
     /// `order` when the iteration closes).
     seen: HashSet<u64, BuildHasherDefault<MulShift>>,
@@ -247,6 +270,8 @@ impl UnitBuilder {
             hasher: snapshot_hasher(),
             timeless_hasher: snapshot_hasher(),
             last_row: None,
+            last_digest: 0,
+            run: 0,
             seen: HashSet::default(),
             order: Vec::new(),
             rows: cfg.keep_matrices.then(Vec::new),
@@ -255,40 +280,53 @@ impl UnitBuilder {
     }
 
     /// Folds one row into the hash/feature accumulators; returns the
-    /// number of bytes fed to the hashers.
+    /// number of bytes fed to the hashers on the row's behalf.
     fn fold_row(&mut self, row: &[u64]) -> u64 {
         self.cycle_rows += 1;
-        let row_bytes = 8 * (row.len() as u64 + 1);
-        let mut hashed = row_bytes;
-        self.hasher.write_u64(row.len() as u64);
-        self.hasher.write_u64s(row);
-        // An unchanged row is consolidated away by the timeless hasher, and
-        // its values are already features (they were recorded when this row
-        // content first appeared).
-        if self.last_row.as_deref() != Some(row) {
-            self.timeless_hasher.write_u64(row.len() as u64);
-            self.timeless_hasher.write_u64s(row);
-            // Every value of the previous row is already a feature, so only
-            // positions whose value changed need a membership check.
-            let prev = self.last_row.as_deref().unwrap_or(&[]);
-            for (i, &v) in row.iter().enumerate() {
-                if v != 0 && prev.get(i) != Some(&v) && self.seen.insert(v) {
-                    self.order.push(v);
-                }
-            }
-            match &mut self.last_row {
-                Some(last) if last.len() == row.len() => last.copy_from_slice(row),
-                last => *last = Some(row.to_vec()),
-            }
-            hashed += row_bytes;
-        }
         if let Some(rows) = &mut self.rows {
             rows.push(row.to_vec());
         }
-        hashed
+        // An unchanged row only extends the run: its values are already
+        // features (they were recorded when this row content first
+        // appeared).
+        if self.last_row.as_deref() == Some(row) {
+            self.run += 1;
+            return 0;
+        }
+        self.close_run();
+        let mut digest = snapshot_hasher();
+        digest.write_u64(row.len() as u64);
+        digest.write_u64s(row);
+        self.last_digest = digest.finish();
+        self.timeless_hasher.write_u64(self.last_digest);
+        self.run = 1;
+        // Every value of the previous row is already a feature, so only
+        // positions whose value changed need a membership check.
+        let prev = self.last_row.as_deref().unwrap_or(&[]);
+        for (i, &v) in row.iter().enumerate() {
+            if v != 0 && prev.get(i) != Some(&v) && self.seen.insert(v) {
+                self.order.push(v);
+            }
+        }
+        match &mut self.last_row {
+            Some(last) if last.len() == row.len() => last.copy_from_slice(row),
+            last => *last = Some(row.to_vec()),
+        }
+        // The row's length word and values, its digest into the timeless
+        // hash, and the (digest, run length) pair its run closes with.
+        8 * (row.len() as u64 + 1) + 24
     }
 
-    fn finish(self) -> UnitTrace {
+    /// Feeds the current run, if any, to the full hasher.
+    fn close_run(&mut self) {
+        if self.run > 0 {
+            self.hasher.write_u64(self.last_digest);
+            self.hasher.write_u64(self.run);
+        }
+    }
+
+    fn finish(mut self) -> UnitTrace {
+        self.close_run();
         UnitTrace {
             hash: self.hasher.finish(),
             hash_timeless: self.timeless_hasher.finish(),
@@ -319,7 +357,10 @@ pub struct Tracer {
     pub iterations: Vec<IterationTrace>,
     /// Unit rows sampled so far (telemetry volume counter).
     pub rows_sampled: u64,
-    /// Bytes fed to the snapshot hashers so far (full + timeless).
+    /// Bytes fed to the snapshot hashers so far: per distinct row, its
+    /// length word and values (once, into the row digest), plus 8 for the
+    /// digest into the timeless hash and 16 for the `(digest, run length)`
+    /// pair into the full hash. Repeated rows feed nothing.
     pub hash_bytes: u64,
     /// Matrix cells retained so far (nonzero only with
     /// [`TraceConfig::keep_matrices`]).
@@ -656,28 +697,28 @@ mod tests {
         t
     }
 
-    /// The fold as first written: a `BTreeSet` insert for every non-zero
-    /// value of every changed row.
+    /// The run-length fold written plainly: group consecutive equal rows,
+    /// digest each group's row, and collect features with a `BTreeSet`.
     fn reference_fold(rows: &[Vec<u64>]) -> UnitTrace {
         let (mut full, mut timeless) = (snapshot_hasher(), snapshot_hasher());
         let mut features = BTreeSet::new();
         let mut order = Vec::new();
-        let mut last: Option<&Vec<u64>> = None;
-        for row in rows {
-            full.write_u64(row.len() as u64);
+        for run in rows.chunk_by(|a, b| a == b) {
+            let row = &run[0];
+            let mut digest = snapshot_hasher();
+            digest.write_u64(row.len() as u64);
             for &v in row {
-                full.write_u64(v);
+                digest.write_u64(v);
             }
-            if last != Some(row) {
-                timeless.write_u64(row.len() as u64);
-                for &v in row {
-                    timeless.write_u64(v);
-                    if v != 0 && features.insert(v) {
-                        order.push(v);
-                    }
+            let digest = digest.finish();
+            timeless.write_u64(digest);
+            full.write_u64(digest);
+            full.write_u64(run.len() as u64);
+            for &v in row {
+                if v != 0 && features.insert(v) {
+                    order.push(v);
                 }
             }
-            last = Some(row);
         }
         UnitTrace {
             hash: full.finish(),
@@ -689,12 +730,32 @@ mod tests {
         }
     }
 
+    fn fold(rows: &[Vec<u64>]) -> UnitTrace {
+        let mut b = UnitBuilder::new(&TraceConfig::default());
+        for row in rows {
+            b.fold_row(row);
+        }
+        b.finish()
+    }
+
+    /// `rows` with consecutive duplicate rows merged.
+    fn dedup(rows: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        let mut out = rows.to_vec();
+        out.dedup();
+        out
+    }
+
+    /// Rows for the equivalence proptest: four short rows, two of which
+    /// share their first word and two of which are zero-padded versions of
+    /// each other, so equal and near-equal matrices are common.
+    const ALPHABET: [&[u64]; 4] = [&[], &[1], &[1, 0], &[0, 1]];
+
     proptest::proptest! {
         /// Rows over a small alphabet (zeros, values repeated across and
         /// within rows), of changing widths, with exact repeats of the
         /// previous row mixed in.
         #[test]
-        fn fold_equals_btreeset_reference(
+        fn fold_equals_run_length_reference(
             steps in proptest::collection::vec(
                 (proptest::prelude::any::<bool>(), proptest::collection::vec(0u64..6, 0..6)),
                 0..48,
@@ -708,11 +769,37 @@ mod tests {
                 };
                 rows.push(row);
             }
-            let mut b = UnitBuilder::new(&TraceConfig::default());
-            for row in &rows {
-                b.fold_row(row);
+            proptest::prop_assert_eq!(fold(&rows), reference_fold(&rows));
+        }
+
+        /// The fold's two hashes partition matrices exactly as equality
+        /// and equality after merging consecutive duplicate rows do. `b` is
+        /// `a` itself, `a` with one row repeated, `a` with one row removed,
+        /// or an independent matrix, so every relation occurs often.
+        #[test]
+        fn fold_hashes_partition_like_matrix_equality(
+            a in proptest::collection::vec(0usize..4, 0..8),
+            other in proptest::collection::vec(0usize..4, 0..8),
+            op in 0u8..4,
+            at in proptest::prelude::any::<usize>(),
+        ) {
+            let a: Vec<Vec<u64>> = a.iter().map(|&i| ALPHABET[i].to_vec()).collect();
+            let mut b = a.clone();
+            match op {
+                1 if !b.is_empty() => b.insert(at % b.len(), b[at % b.len()].clone()),
+                2 if !b.is_empty() => drop(b.remove(at % b.len())),
+                3 => b = other.iter().map(|&i| ALPHABET[i].to_vec()).collect(),
+                _ => {}
             }
-            proptest::prop_assert_eq!(b.finish(), reference_fold(&rows));
+            let (fa, fb) = (fold(&a), fold(&b));
+            proptest::prop_assert_eq!(fa.hash == fb.hash, a == b, "{:?} vs {:?}", a, b);
+            proptest::prop_assert_eq!(
+                fa.hash_timeless == fb.hash_timeless,
+                dedup(&a) == dedup(&b),
+                "{:?} vs {:?}",
+                a,
+                b
+            );
         }
     }
 
