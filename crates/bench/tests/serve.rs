@@ -1,5 +1,6 @@
 //! End-to-end `repro serve` robustness tests through the real binary:
-//! backpressure, SIGTERM drain, and kill-9 crash recovery.
+//! backpressure, hostile request lines, SIGTERM drain, and kill-9 crash
+//! recovery.
 
 #![cfg(unix)]
 
@@ -137,6 +138,23 @@ fn overload_is_rejected_with_structured_busy() {
 
     daemon.kill().ok();
     daemon.wait().ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request nested far deeper than any real one is a parse error, not a
+/// stack overflow: the session answers with an `error` event and the
+/// daemon keeps serving.
+#[test]
+fn deeply_nested_request_gets_an_error_and_the_daemon_survives() {
+    let dir = tmp_dir("nested");
+    let (mut daemon, socket) = start_daemon(&dir, &[]);
+    let (_s1, _r1, reply) = raw_request(&socket, &"[".repeat(100_000));
+    assert!(reply.contains("\"event\":\"error\"") && reply.contains("nested deeper"), "{reply}");
+    let (_s2, _r2, status) = raw_request(&socket, "{\"op\":\"status\"}");
+    assert!(status.contains("\"event\":\"status\""), "{status}");
+    sigterm(&daemon);
+    let exit = wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");
+    assert_eq!(exit.code(), Some(0), "graceful shutdown exits 0");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -294,13 +294,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, and a stack overflow aborts the process (it cannot be
+/// caught), so a document from an untrusted client or file must not
+/// choose the depth. The deepest document this workspace writes (the lint
+/// SARIF report) nests 9 levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document (object field order is preserved).
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on malformed input or trailing garbage.
+/// Returns [`ParseError`] on malformed input, trailing garbage, or arrays
+/// and objects nested more than 128 levels deep.
 pub fn parse(text: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -313,6 +321,8 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -354,12 +364,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object with `inner`, one level deeper.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -443,10 +467,16 @@ impl Parser<'_> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let second = self.hex4()?;
-                                    let combined = 0x10000
-                                        + (((first - 0xd800) as u32) << 10)
-                                        + (second - 0xdc00) as u32;
-                                    char::from_u32(combined)
+                                    // A high surrogate must be followed by
+                                    // a low one.
+                                    (0xdc00..0xe000)
+                                        .contains(&second)
+                                        .then(|| {
+                                            0x10000
+                                                + (((first - 0xd800) as u32) << 10)
+                                                + (second - 0xdc00) as u32
+                                        })
+                                        .and_then(char::from_u32)
                                 } else {
                                     None
                                 }
@@ -636,5 +666,44 @@ mod tests {
         assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Value::Str("Aé".into()));
         // Surrogate pair for 🦀 U+1F980.
         assert_eq!(parse(r#""\ud83e\udd80""#).unwrap(), Value::Str("🦀".into()));
+        // A high surrogate followed by anything but a low one.
+        for bad in [r#""\ud83e\u0041""#, r#""\ud83e\ud83e""#, r#""\ud83e""#] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    /// `depth` arrays, alternating with objects when `objects` is set,
+    /// each holding the next; the innermost holds `0`.
+    fn nested(depth: usize, objects: bool) -> String {
+        let (mut open, mut close) = (String::new(), String::new());
+        for level in 0..depth {
+            if objects && level % 2 == 1 {
+                open.push_str("{\"k\":");
+                close.push('}');
+            } else {
+                open.push('[');
+                close.push(']');
+            }
+        }
+        open + "0" + &close.chars().rev().collect::<String>()
+    }
+
+    #[test]
+    fn nesting_is_capped_at_128_levels() {
+        for objects in [false, true] {
+            let v = parse(&nested(MAX_DEPTH, objects)).expect("128 levels parse");
+            assert_eq!(parse(&v.render_compact()).unwrap(), v);
+            let e = parse(&nested(MAX_DEPTH + 1, objects)).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{e}");
+        }
+        // Unbalanced and huge: the error comes at the cap, long before the
+        // stack of a spawned thread (2 MiB by default) runs out.
+        let deep = std::thread::spawn(|| {
+            let opens = "[".repeat(1_000_000);
+            (parse(&opens).unwrap_err(), parse(&nested(MAX_DEPTH + 1, true)).is_err())
+        });
+        let (e, objects_too) = deep.join().expect("parsing on a spawned thread returns");
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(objects_too);
     }
 }
