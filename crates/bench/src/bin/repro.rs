@@ -239,23 +239,20 @@ fn main() -> ExitCode {
         }
     }
     // A journal written under different FaultConfig rates or fault seed
-    // holds trials from a different distribution; mixing them into this
+    // holds trials from a different distribution, and one written by a
+    // build that folds snapshots differently holds hashes that split
+    // identical snapshots into two categories; mixing either into this
     // run would silently bias the statistics. Checked after the whole
     // arg loop so a later `--faults` cannot dodge it.
     if sweep_opts.resume {
         if let Some(path) = &sweep_opts.journal {
             if let Ok(state) = sweep::load_journal(path) {
-                if let Some(recorded) = &state.config_hash {
-                    let current = sweep::options_config_hash(&sweep_opts);
-                    if *recorded != current {
-                        fail(&format!(
-                            "cannot resume {}: the journal was written under a different \
-                             FaultConfig or fault seed (journal config {recorded}, current \
-                             {current}); restore the original --faults spec or start a fresh \
-                             journal",
-                            path.display()
-                        ));
-                    }
+                if let Some(why) = state.mismatch(&sweep::options_config_hash(&sweep_opts)) {
+                    fail(&format!(
+                        "cannot resume {}: {why}; restore the original --faults spec or \
+                         start a fresh journal",
+                        path.display()
+                    ));
                 }
             }
         }
@@ -1082,8 +1079,8 @@ fn usage() {
     eprintln!(
         "--journal FILE appends one JSONL record per finished trial; --resume FILE \
          restores completed trials from a journal and re-runs only the missing ones \
-         (refused with exit 2 if the journal's FaultConfig rates or fault seed differ \
-         from the current flags)"
+         (refused with exit 2 if the journal's FaultConfig rates, fault seed or \
+         snapshot-hash format differ from this run's, or if it has no config header)"
     );
     eprintln!(
         "--sequential judges every sweep against an anytime-valid confidence sequence \

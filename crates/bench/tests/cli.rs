@@ -188,6 +188,51 @@ fn resume_with_changed_fault_config_exits_usage_error() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Snapshot hashes from another fold label identical snapshots
+/// differently, so pooling them with this build's would split one
+/// contingency-table category in two. `--resume` refuses, with exit 2, a
+/// journal whose header was written by a build with the previous fold and
+/// a journal without a header (written before headers existed), and
+/// names the cause.
+#[test]
+fn resume_refuses_journals_from_another_snapshot_fold() {
+    let dir = tmp_dir("resume-fold");
+    let base = ["fig7", "--keys", "1", "--key-bytes", "1", "--threads", "1"];
+    let resume = |journal: &std::path::Path| {
+        repro().args(base).arg("--resume").arg(journal).output().expect("repro runs")
+    };
+
+    // The header the previous fold's build wrote for fault-free options.
+    let old_fold = dir.join("old-fold.jsonl");
+    std::fs::write(
+        &old_fold,
+        "{\"schema\":\"microsampler-journal-header-v1\",\"config_hash\":\"34953a3173516e0d\"}\n",
+    )
+    .unwrap();
+    let out = resume(&old_fold);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("snapshot-hash format") && stderr.contains("FaultConfig"), "{stderr}");
+
+    // This build's own journal resumes; without its header it does not.
+    let journal = dir.join("trials.jsonl");
+    let out = repro().args(base).arg("--journal").arg(&journal).output().expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let out = resume(&journal);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let (header, trials) = text.split_once('\n').expect("a header line, then trials");
+    assert!(header.contains("microsampler-journal-header-v1"), "{header}");
+    assert!(trials.contains("\"status\":\"completed\""), "{trials}");
+    let headerless = dir.join("headerless.jsonl");
+    std::fs::write(&headerless, trials).unwrap();
+    let out = resume(&headerless);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("no config header"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn parse_report(path: &std::path::Path) -> Value {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
