@@ -89,10 +89,14 @@ impl AnalysisReport {
         &self.units[unit.index()]
     }
 
-    /// Units flagged as leaky, most strongly associated first.
+    /// Units flagged as leaky, most strongly associated first: ranked by
+    /// Cramér's V rounded to the three decimals reports print, then in
+    /// canonical order, so the ranking never rests on the last bits of a
+    /// float sum.
     pub fn leaky_units(&self) -> Vec<&UnitReport> {
         let mut v: Vec<&UnitReport> = self.units.iter().filter(|u| u.is_leaky()).collect();
-        v.sort_by(|a, b| b.assoc.cramers_v.total_cmp(&a.assoc.cramers_v));
+        // A stable sort keeps units with equal printed V in canonical order.
+        v.sort_by_key(|u| std::cmp::Reverse((u.assoc.cramers_v * 1000.0).round() as i64));
         v
     }
 
@@ -236,6 +240,18 @@ mod tests {
         let leaky = r.leaky_units();
         assert_eq!(leaky.len(), 2);
         assert!(leaky[0].assoc.cramers_v >= leaky[1].assoc.cramers_v);
+    }
+
+    #[test]
+    fn leaky_units_with_equal_printed_v_rank_in_canonical_order() {
+        let below_one = f64::from_bits(1.0f64.to_bits() - 1);
+        let mut r = report_with(below_one, 0.001);
+        r.units[5].assoc.cramers_v = 1.0;
+        r.units[5].assoc.p_value = 0.001;
+        r.units[9].assoc.cramers_v = 0.9;
+        r.units[9].assoc.p_value = 0.001;
+        let ranked: Vec<UnitId> = r.leaky_units().iter().map(|u| u.unit).collect();
+        assert_eq!(ranked, [UnitId::ALL[0], UnitId::ALL[5], UnitId::ALL[9]]);
     }
 
     #[test]
