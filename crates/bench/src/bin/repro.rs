@@ -27,11 +27,12 @@
 //! every modexp trial (see `microsampler_sim::FaultConfig`); `--journal`
 //! checkpoints each finished trial as a JSONL record and `--resume`
 //! restores completed trials from such a journal, re-running only the
-//! missing ones. Any of the fault/journal/retry flags routes trials
-//! through the crash-isolation harness: a deadlocked, over-budget, or
-//! panicking trial is quarantined (with bounded retries) and the sweep
-//! completes on the surviving trials, reporting the quarantine list under
-//! `trials` in `--json` run reports.
+//! missing ones. Every modexp trial runs in the crash-isolation harness,
+//! with bounded retries; the fault/journal/retry flags decide only what a
+//! trial that still fails does. With any of them, a deadlocked,
+//! over-budget, or panicking trial is quarantined and the sweep completes
+//! on the surviving trials, listing the quarantine under `trials` in
+//! `--json` run reports; without them, it stops the run.
 //!
 //! `--threads N` sizes the worker pool for trial fan-out and analysis.
 //! Precedence: the `--threads` flag wins over the `MICROSAMPLER_THREADS`
@@ -54,17 +55,17 @@
 //!
 //! `repro profile` sweeps modexp kernels with the simulator's always-on
 //! pipeline counters and prints a riscv-perf-model-style utilization dump
-//! (host throughput, simulated IPC, per-EU utilization, stall-cause
-//! breakdown), writing the stable-schema `BENCH_sim.json` throughput
-//! baseline; `--trace-out FILE` additionally exports the span forest as
-//! Chrome trace-event JSON, openable at <https://ui.perfetto.dev>. Exits
-//! nonzero if any kernel reports zero IPC or throughput.
+//! (simulated IPC, per-EU utilization, stall-cause breakdown), writing
+//! the stable-schema `BENCH_sim.json` pipeline report; `--trace-out FILE`
+//! additionally exports the span forest as Chrome trace-event JSON,
+//! openable at <https://ui.perfetto.dev>. Exits nonzero if any kernel
+//! reports zero IPC.
 //!
 //! With `--json DIR`, each experiment additionally writes
 //! `DIR/<experiment>.json`: a stable-schema run report carrying the
 //! experiment's structured result, the pipeline span tree, and the
 //! aggregated simulator metrics for the sweep. Set `MICROSAMPLER_PROGRESS=1`
-//! for trial-N-of-M heartbeats during long sweeps.
+//! for trial-N-of-M heartbeats, with rate and ETA, during long sweeps.
 
 use microsampler_bench::experiments as exp;
 use microsampler_bench::{lint, print_cycle_histogram, print_v_chart, profile, sweep, Scale};
@@ -495,7 +496,7 @@ fn lint_main(args: &[String]) -> ExitCode {
 /// [--seed N] [--threads N] [--out FILE] [--trace-out FILE]`.
 ///
 /// Exit codes: 0 = profiled and `BENCH_sim.json` written, 1 = a kernel
-/// failed or reported zero IPC/throughput, 2 = usage error.
+/// failed or reported zero IPC, 2 = usage error.
 fn profile_main(args: &[String]) -> ExitCode {
     let mut opts = profile::ProfileOptions::default();
     let mut names: Vec<String> = Vec::new();
@@ -582,11 +583,11 @@ fn profile_main(args: &[String]) -> ExitCode {
         }
         println!("wrote {} (open at https://ui.perfetto.dev)", path.display());
     }
-    // The throughput baseline is useless if the counters read zero; make
-    // that a hard failure so CI catches a broken profiler immediately.
+    // The report is useless if the counters read zero; make that a hard
+    // failure so CI catches a broken profiler immediately.
     for p in &profiles {
-        if p.pipeline.ipc() <= 0.0 || p.sim_cycles_per_host_sec() <= 0.0 {
-            diag_error!("{}: zero IPC or host throughput in the profile", p.name);
+        if p.pipeline.ipc() <= 0.0 {
+            diag_error!("{}: zero IPC in the profile", p.name);
             return ExitCode::FAILURE;
         }
     }
@@ -1097,9 +1098,9 @@ fn usage() {
     eprintln!(
         "--retries N retries failing trials up to N times (default 1); \
          --trial-timeout SECS quarantines trials exceeding the wall-clock budget. \
-         Any of these flags routes trials through the isolation harness: failing \
-         trials are quarantined (listed under `trials` in --json reports) instead \
-         of aborting the sweep"
+         Every modexp trial runs in the isolation harness; with any of these flags \
+         a trial that still fails is quarantined (listed under `trials` in --json \
+         reports) instead of aborting the run"
     );
     eprintln!(
         "--threads N sizes the worker pool; precedence: --threads, then the \
@@ -1124,7 +1125,7 @@ fn usage() {
     );
     eprintln!(
         "profile sweeps modexp kernels with the pipeline profiler and writes the \
-         BENCH_sim.json throughput baseline (--out, default BENCH_sim.json); \
+         BENCH_sim.json pipeline report (--out, default BENCH_sim.json); \
          --trace-out FILE exports a Chrome trace-event JSON (ui.perfetto.dev)"
     );
     eprintln!(

@@ -128,11 +128,10 @@ fn table5_row(analyzer: &Analyzer, prim: &Primitive, scale: &Scale) -> Table5Row
         Ok(first) => first,
         Err(e) => {
             microsampler_obs::metrics::record("trial.quarantined", 1.0);
-            crate::sweep::record_event(crate::sweep::TrialEvent {
+            crate::sweep::tally_quarantined(crate::sweep::QuarantinedTrial {
                 id: format!("table5/{}", prim.name),
-                kind: crate::sweep::TrialEventKind::Quarantined,
-                class: Some(microsampler_par::FailureClass::SimError),
-                message: Some(e.clone()),
+                class: microsampler_par::FailureClass::SimError,
+                message: e.clone(),
                 attempts: 1,
             });
             return Table5Row {

@@ -16,9 +16,8 @@ pub mod serve;
 pub mod sweep;
 
 use microsampler_core::{analyze, AnalysisReport};
-use microsampler_kernels::inputs::random_keys;
-use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
-use microsampler_sim::{CoreConfig, IterationTrace, TraceConfig};
+use microsampler_kernels::modexp::ModexpVariant;
+use microsampler_sim::{CoreConfig, IterationTrace};
 
 /// Scale parameters shared by the experiments.
 #[derive(Clone, Copy, Debug)]
@@ -52,22 +51,21 @@ impl Scale {
 /// Runs a modexp variant over `n_keys` random keys and returns the pooled
 /// labeled iterations.
 ///
-/// The per-key trials are independent and fan out across the
-/// [`microsampler_par`] worker pool; the pooled iterations are
+/// This is [`sweep::run_modexp_sweep`] under the installed
+/// [`sweep::SweepOptions`], or the defaults when none are installed: the
+/// per-key trials fan out across the [`microsampler_par`] worker pool,
+/// each behind the crash-isolation harness, and the pooled iterations are
 /// concatenated in key order, so the result is bit-identical to a serial
-/// sweep at every thread count.
-///
-/// When the `repro` CLI has installed [`sweep::SweepOptions`] that demand
-/// isolation (fault injection, a journal, resume, or `--retries`), the
-/// per-key trials are routed through [`sweep::run_modexp_sweep`] instead:
-/// failing trials are quarantined and the pooled iterations cover the
-/// surviving trials only.
+/// sweep at every thread count. Every trial counts toward the run
+/// report's `trials` tally.
 ///
 /// # Panics
 ///
-/// On the legacy fail-fast path (no sweep options installed): panics if a
-/// kernel fails to assemble or simulate, or if the simulated result
-/// diverges from the reference model (a harness bug).
+/// If a trial is quarantined (it failed to assemble or simulate, or its
+/// result diverged from the reference model) and the options do not set
+/// [`isolate`](sweep::SweepOptions::isolate); the message names the
+/// trial. With `isolate` set, the surviving trials' iterations are
+/// returned instead.
 pub fn run_modexp_iterations(
     variant: ModexpVariant,
     config: &CoreConfig,
@@ -75,22 +73,12 @@ pub fn run_modexp_iterations(
     key_bytes: usize,
     seed: u64,
 ) -> Vec<IterationTrace> {
-    if let Some(opts) = sweep::options().filter(sweep::SweepOptions::wants_isolation) {
-        return sweep::run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &opts).iterations;
+    let opts = sweep::options().unwrap_or_default();
+    let out = sweep::run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &opts);
+    if let (Some(q), false) = (out.quarantined.first(), opts.isolate) {
+        panic!("trial {} failed ({}): {}", q.id, q.class, q.message);
     }
-    let kernel = ModexpKernel::new(variant, key_bytes);
-    let keys = random_keys(n_keys, key_bytes, seed);
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let per_key = microsampler_par::map(&keys, |_, key| {
-        let run = kernel
-            .run(config.clone(), key, TraceConfig::default())
-            .unwrap_or_else(|e| panic!("{} failed: {e}", variant.name()));
-        assert_eq!(run.exit_code, kernel.reference(key), "{} functional check", variant.name());
-        let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        microsampler_obs::diag::progress(variant.name(), finished, n_keys);
-        run.iterations
-    });
-    per_key.into_iter().flatten().collect()
+    out.iterations
 }
 
 /// Runs and analyzes a modexp variant (the common shape of Figs. 3/4/7/9).

@@ -1,27 +1,24 @@
 //! `repro profile`: per-kernel pipeline utilization dumps and the
-//! `BENCH_sim.json` simulator-throughput baseline.
+//! `BENCH_sim.json` simulated-pipeline report.
 //!
 //! Each selected modexp kernel is swept over its keys (fanning out across
 //! the [`microsampler_par`] pool like the experiments do) while the
 //! simulator's always-on [`PipelineStats`] counters accumulate. The result
-//! is printed riscv-perf-model style — host throughput, simulated IPC,
-//! per-execution-unit utilization, and the stall-cause breakdown — and
-//! written as stable-schema JSON so CI can track simulator throughput
-//! regressions against the roadmap's 5× target.
+//! is printed riscv-perf-model style — simulated IPC, per-execution-unit
+//! utilization, and the stall-cause breakdown — and written as
+//! stable-schema JSON.
 //!
-//! Everything under the `sim`/`utilization`/`stalls`/`pipeline` keys is
-//! bit-identical at every thread count (pure simulator state); only the
-//! `host` object (wall-clock timings) varies between machines and runs.
+//! The report holds pure simulator state, so it is bit-identical at every
+//! thread count and on every host. Host throughput is perfbench's
+//! `sim_cycles_per_s`, which scales wall-clock time by a yardstick.
 
-use crate::sweep;
 use microsampler_kernels::inputs::random_keys;
 use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
 use microsampler_obs::{diag, Value};
 use microsampler_sim::{CoreConfig, PipelineStats, TraceConfig};
-use std::time::{Duration, Instant};
 
 /// Schema tag on the `BENCH_sim.json` report.
-pub const BENCH_SIM_SCHEMA: &str = "microsampler-bench-sim-v1";
+pub const BENCH_SIM_SCHEMA: &str = "microsampler-bench-sim-v2";
 
 /// What to profile.
 #[derive(Clone, Debug)]
@@ -51,24 +48,11 @@ pub struct KernelProfile {
     pub keys: usize,
     /// Key length in bytes.
     pub key_bytes: usize,
-    /// Host wall-clock time for the sweep (fan-out included).
-    pub elapsed: Duration,
     /// Pipeline counters summed over every trial of the sweep.
     pub pipeline: PipelineStats,
 }
 
 impl KernelProfile {
-    /// Simulated cycles retired per host second — the headline
-    /// throughput number the roadmap's 5× target is measured against.
-    pub fn sim_cycles_per_host_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.pipeline.cycles as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Renders one `kernels[]` entry of the `BENCH_sim.json` report.
     pub fn to_json(&self, config: &CoreConfig) -> Value {
         let p = &self.pipeline;
@@ -80,13 +64,6 @@ impl KernelProfile {
             .field("name", self.name)
             .field("keys", self.keys)
             .field("key_bytes", self.key_bytes)
-            .field(
-                "host",
-                Value::object()
-                    .field("elapsed_sec", self.elapsed.as_secs_f64())
-                    .field("sim_cycles_per_host_sec", self.sim_cycles_per_host_sec())
-                    .build(),
-            )
             .field(
                 "sim",
                 Value::object()
@@ -124,7 +101,6 @@ pub fn profile_kernel(
     let _span = microsampler_obs::span("profile");
     let kernel = ModexpKernel::new(variant, opts.key_bytes);
     let keys = random_keys(opts.keys, opts.key_bytes, opts.seed);
-    let start = Instant::now();
     let per_key = microsampler_par::map(&keys, |_, key| {
         let run = kernel
             .run(config.clone(), key, TraceConfig::default())
@@ -134,18 +110,11 @@ pub fn profile_kernel(
         }
         Ok(run.pipeline)
     });
-    let elapsed = start.elapsed();
     let mut pipeline = PipelineStats::default();
     for r in per_key {
         pipeline.add(&r?);
     }
-    Ok(KernelProfile {
-        name: variant.name(),
-        keys: opts.keys,
-        key_bytes: opts.key_bytes,
-        elapsed,
-        pipeline,
-    })
+    Ok(KernelProfile { name: variant.name(), keys: opts.keys, key_bytes: opts.key_bytes, pipeline })
 }
 
 /// Profiles every selected kernel in order.
@@ -177,7 +146,6 @@ pub fn report_to_json(profiles: &[KernelProfile], config: &CoreConfig, threads: 
         .field("config", config.name)
         .field("threads", threads)
         .field("kernels", Value::Array(profiles.iter().map(|p| p.to_json(config)).collect()))
-        .field("trials", sweep::events_to_json())
         .build()
 }
 
@@ -188,11 +156,6 @@ pub fn print_profile(profile: &KernelProfile, config: &CoreConfig) {
     println!(
         "\n== pipeline profile: {} ({}, {} keys x {} bytes) ==",
         profile.name, config.name, profile.keys, profile.key_bytes
-    );
-    println!(
-        "host     : {:.2} s wall, {:.2} Mcycles/s",
-        profile.elapsed.as_secs_f64(),
-        profile.sim_cycles_per_host_sec() / 1e6
     );
     println!("sim      : {} cycles, {} committed, IPC {:.3}", p.cycles, p.committed, p.ipc());
     println!(
@@ -252,8 +215,7 @@ mod tests {
         assert_eq!(k.get("name").unwrap().as_str(), Some("ME-V1-MV"));
         let ipc = k.get("sim").unwrap().get("ipc").unwrap().as_f64().unwrap();
         assert!(ipc > 0.0, "IPC must be present and nonzero");
-        let host = k.get("host").unwrap();
-        assert!(host.get("sim_cycles_per_host_sec").unwrap().as_f64().is_some());
+        assert!(k.get("host").is_none() && v.get("trials").is_none(), "no host timing or trials");
         let util = k.get("utilization").unwrap();
         for eu in ["alu", "agu", "mul", "div"] {
             let u = util.get(eu).unwrap().as_f64().unwrap();

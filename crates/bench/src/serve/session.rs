@@ -34,6 +34,10 @@ pub const SERVE_SCHEMA: &str = "microsampler-serve-v1";
 /// is reclaimed.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 
+/// Longest request line accepted, newline excluded; a real request is a
+/// few hundred bytes.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// Serves one connection to completion; errors are diagnosed, never
 /// propagated (one bad client must not dent the daemon).
 pub fn handle_client(state: &Arc<ServeState>, stream: UnixStream) {
@@ -95,7 +99,8 @@ fn client_loop(state: &Arc<ServeState>, mut stream: UnixStream) -> Result<(), St
 
 /// Reads the single request line, polling the shutdown flag so a silent
 /// client cannot stall the drain. Returns `None` on a clean early
-/// disconnect.
+/// disconnect, or after answering a line longer than
+/// [`MAX_REQUEST_LINE`] with an `error` event.
 fn read_request_line(
     state: &Arc<ServeState>,
     stream: &mut UnixStream,
@@ -106,11 +111,6 @@ fn read_request_line(
     let deadline = Instant::now() + REQUEST_DEADLINE;
     let mut buf = Vec::new();
     loop {
-        if let Some(nl) = buf.iter().position(|&b| b == b'\n') {
-            return String::from_utf8(buf[..nl].to_vec())
-                .map(Some)
-                .map_err(|e| format!("request is not UTF-8: {e}"));
-        }
         if state.is_shutting_down() {
             let _ = write_event(stream, &busy_event(SubmitError::ShuttingDown));
             return Ok(None);
@@ -121,7 +121,23 @@ fn read_request_line(
         let mut chunk = [0u8; 1024];
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(None),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => {
+                // Only the new bytes can hold the first newline.
+                let scanned = buf.len();
+                buf.extend_from_slice(&chunk[..n]);
+                let end = buf[scanned..].iter().position(|&b| b == b'\n').map(|nl| scanned + nl);
+                if end.unwrap_or(buf.len()) > MAX_REQUEST_LINE {
+                    let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                    write_event(stream, &event("error").field("message", message).build())?;
+                    return Ok(None);
+                }
+                if let Some(end) = end {
+                    buf.truncate(end);
+                    return String::from_utf8(buf)
+                        .map(Some)
+                        .map_err(|e| format!("request is not UTF-8: {e}"));
+                }
+            }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}

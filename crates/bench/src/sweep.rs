@@ -2,12 +2,16 @@
 //! isolation with bounded retry, and a JSONL journal enabling
 //! checkpoint/resume (`repro --resume`).
 //!
-//! The harness wraps the same per-key modexp trials that
-//! [`run_modexp_iterations`](crate::run_modexp_iterations) fans out, but
-//! runs each one behind [`microsampler_par::map_isolated`]: a trial that
+//! Every modexp key trial runs here: [`run_modexp_iterations`] is
+//! [`run_modexp_sweep`] under the installed [`SweepOptions`]. Each trial
+//! runs behind [`microsampler_par::run_isolated`]: a trial that
 //! deadlocks, exhausts its cycle budget, or panics is *quarantined* — the
 //! sweep completes with partial results and the quarantine list flows into
-//! the `repro --json` run report instead of sinking hours of work.
+//! the `repro --json` run report instead of sinking hours of work. A
+//! caller that did not ask for [`SweepOptions::isolate`] gets a panic
+//! naming the quarantined trial instead of partial results.
+//!
+//! [`run_modexp_iterations`]: crate::run_modexp_iterations
 //!
 //! # Journal format
 //!
@@ -41,7 +45,6 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -58,8 +61,8 @@ pub const HEADER_SCHEMA: &str = "microsampler-journal-header-v1";
 /// Harness-wide sweep configuration, installed by the `repro` CLI via
 /// [`set_options`] and consulted by
 /// [`run_modexp_iterations`](crate::run_modexp_iterations). The default
-/// (no options installed) preserves the legacy fail-fast panic path
-/// bit-for-bit.
+/// (also used when none are installed) injects no faults, keeps no
+/// journal, and panics on a quarantined trial.
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
     /// Fault-injection rates applied to every trial (re-seeded per trial
@@ -68,8 +71,10 @@ pub struct SweepOptions {
     /// Trial index whose core is wedged at [`microsampler_sim::WEDGE_CYCLE`]
     /// (a deliberate deadlock, for exercising quarantine end-to-end).
     pub wedge_trial: Option<usize>,
-    /// Run trials behind the isolation boundary even with no faults or
-    /// journal configured.
+    /// What [`run_modexp_iterations`](crate::run_modexp_iterations) does
+    /// when a trial is quarantined: return the surviving trials'
+    /// iterations (`true`) or panic naming the trial (`false`). `repro`
+    /// sets it whenever a sweep flag is given.
     pub isolate: bool,
     /// Retry/timeout policy for isolated trials.
     pub policy: IsolationPolicy,
@@ -89,26 +94,10 @@ pub struct SweepOptions {
     pub deadline: Option<std::time::Instant>,
     /// Sequential (anytime) auditing: judge a confidence sequence at
     /// doubling key-count look points and stop the sweep as soon as it
-    /// closes, recording the skipped tail as
-    /// [`TrialEventKind::EarlyStopped`] and the stopping trace in
-    /// [`SweepOutcome::stop`] (and the journal).
+    /// closes, counting the skipped tail in [`SweepOutcome::early_stopped`]
+    /// and recording the stopping trace in [`SweepOutcome::stop`] (and the
+    /// journal).
     pub sequential: Option<SeqConfig>,
-}
-
-impl SweepOptions {
-    /// Whether any knob requires routing trials through the isolation
-    /// harness instead of the legacy fail-fast path.
-    pub fn wants_isolation(&self) -> bool {
-        self.isolate
-            || self.faults.is_some()
-            || self.wedge_trial.is_some()
-            || self.journal.is_some()
-            || self.resume
-            || self.max_cycles.is_some()
-            || self.cancel.is_some()
-            || self.deadline.is_some()
-            || self.sequential.is_some()
-    }
 }
 
 static OPTIONS: Mutex<Option<SweepOptions>> = Mutex::new(None);
@@ -123,82 +112,76 @@ pub fn options() -> Option<SweepOptions> {
     OPTIONS.lock().unwrap_or_else(|p| p.into_inner()).clone()
 }
 
-/// What happened to one trial, for the run report's `trials` section.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrialEventKind {
-    /// Ran to completion this invocation.
-    Completed,
-    /// Restored from the resume journal without re-running.
-    Restored,
-    /// Exhausted its attempt budget and was dropped from the pool.
-    Quarantined,
-    /// Skipped because the sweep was cancelled or hit its deadline; will
-    /// re-run on the next resume (never journaled as finished).
-    Cancelled,
-    /// Skipped because the confidence sequence closed before this trial
-    /// was needed. Unlike cancellation this is a *finished* sweep: the
-    /// verdict is final and the trial only runs again if a later sweep
-    /// asks for more budget.
-    EarlyStopped,
+/// Trial counts of the sweeps run since the last [`reset_events`], for
+/// the run report's `trials` section. Each sweep adds its
+/// [`SweepOutcome`] once, so the tally stays a few counters plus the
+/// quarantine list however many trials run.
+#[derive(Debug, Default)]
+struct Tally {
+    completed: usize,
+    restored: usize,
+    cancelled: usize,
+    early_stopped: usize,
+    quarantined: Vec<QuarantinedTrial>,
 }
 
-/// One entry in the per-run trial event registry.
-#[derive(Clone, Debug)]
-pub struct TrialEvent {
-    /// Stable trial id (also the journal key).
-    pub id: String,
-    /// Outcome kind.
-    pub kind: TrialEventKind,
-    /// Failure class for quarantined trials.
-    pub class: Option<FailureClass>,
-    /// Failure message for quarantined trials.
-    pub message: Option<String>,
-    /// Attempts made (0 for restored trials).
-    pub attempts: u32,
-}
+impl Tally {
+    fn add(&mut self, out: &SweepOutcome) {
+        self.completed += out.completed;
+        self.restored += out.restored;
+        self.cancelled += out.cancelled;
+        self.early_stopped += out.early_stopped;
+        self.quarantined.extend(out.quarantined.iter().cloned());
+    }
 
-static EVENTS: Mutex<Vec<TrialEvent>> = Mutex::new(Vec::new());
-
-/// Clears the trial event registry (call per experiment).
-pub fn reset_events() {
-    EVENTS.lock().unwrap_or_else(|p| p.into_inner()).clear();
-}
-
-/// Appends one event to the registry.
-pub fn record_event(event: TrialEvent) {
-    EVENTS.lock().unwrap_or_else(|p| p.into_inner()).push(event);
-}
-
-/// Snapshot of the registry.
-pub fn events() -> Vec<TrialEvent> {
-    EVENTS.lock().unwrap_or_else(|p| p.into_inner()).clone()
-}
-
-/// Renders the registry for the run report: completed/restored counts
-/// plus the full quarantine list (stable schema: `completed`, `restored`,
-/// `quarantined` with `id`/`class`/`message`/`attempts` each).
-pub fn events_to_json() -> Value {
-    let events = events();
-    let count = |k: TrialEventKind| events.iter().filter(|e| e.kind == k).count();
-    let quarantined: Vec<Value> = events
-        .iter()
-        .filter(|e| e.kind == TrialEventKind::Quarantined)
-        .map(|e| {
+    /// Stable schema: `completed`, `restored`, `cancelled`,
+    /// `early_stopped`, and `quarantined` with `id`/`class`/`message`/
+    /// `attempts` each.
+    fn to_json(&self) -> Value {
+        let quarantined = self.quarantined.iter().map(|q| {
             Value::object()
-                .field("id", e.id.as_str())
-                .field("class", e.class.map_or("unknown", FailureClass::name))
-                .field("message", e.message.as_deref().unwrap_or(""))
-                .field("attempts", e.attempts)
+                .field("id", q.id.as_str())
+                .field("class", q.class.name())
+                .field("message", q.message.as_str())
+                .field("attempts", q.attempts)
                 .build()
-        })
-        .collect();
-    Value::object()
-        .field("completed", count(TrialEventKind::Completed))
-        .field("restored", count(TrialEventKind::Restored))
-        .field("cancelled", count(TrialEventKind::Cancelled))
-        .field("early_stopped", count(TrialEventKind::EarlyStopped))
-        .field("quarantined", Value::Array(quarantined))
-        .build()
+        });
+        Value::object()
+            .field("completed", self.completed)
+            .field("restored", self.restored)
+            .field("cancelled", self.cancelled)
+            .field("early_stopped", self.early_stopped)
+            .field("quarantined", Value::Array(quarantined.collect()))
+            .build()
+    }
+}
+
+static TALLY: Mutex<Tally> = Mutex::new(Tally {
+    completed: 0,
+    restored: 0,
+    cancelled: 0,
+    early_stopped: 0,
+    quarantined: Vec::new(),
+});
+
+fn tally() -> std::sync::MutexGuard<'static, Tally> {
+    TALLY.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Clears the trial tally (call per experiment).
+pub fn reset_events() {
+    *tally() = Tally::default();
+}
+
+/// Adds a trial that failed outside a sweep (a Table V primitive) to the
+/// tally's quarantine list.
+pub(crate) fn tally_quarantined(q: QuarantinedTrial) {
+    tally().quarantined.push(q);
+}
+
+/// Renders the trial tally for the run report.
+pub fn events_to_json() -> Value {
+    tally().to_json()
 }
 
 /// A trial dropped from the pooled results after exhausting its retries.
@@ -661,81 +644,71 @@ fn heartbeat_line(
 /// quarantined — and emits a throttled heartbeat (stderr line via
 /// [`diag::progress_rate`], JSONL event via the trial journal).
 ///
-/// The final tick always emits, so consumers can assert the heartbeat
-/// reaches `total/total` even when every emission in between was
-/// throttled away. The displayed count is clamped to `total`: a trial
-/// whose `Ok` result is reclassified as a post-hoc timeout and then
-/// retried ticks once per classified attempt, and the clamp keeps the
-/// heartbeat monotone and bounded despite that double count.
+/// The sweep ticks once per trial outcome, after
+/// [`microsampler_par::run_isolated`] has settled every retry, so the
+/// count ends at exactly `total`. The final tick always emits, so
+/// consumers can assert the heartbeat reaches `total/total` even when
+/// every emission in between was throttled away; ticks emit under one
+/// lock, so the journal's heartbeat counts never go down.
 struct Heartbeat<'a> {
     task: &'a str,
     total: usize,
     journal: Option<&'a Mutex<File>>,
-    done: AtomicUsize,
     start: Instant,
-    last_emit: Mutex<Option<Instant>>,
+    /// Trials finished so far, and when the last heartbeat was emitted.
+    progress: Mutex<(usize, Option<Instant>)>,
 }
 
 impl<'a> Heartbeat<'a> {
     fn new(task: &'a str, total: usize, journal: Option<&'a Mutex<File>>) -> Heartbeat<'a> {
-        Heartbeat {
-            task,
-            total,
-            journal,
-            done: AtomicUsize::new(0),
-            start: Instant::now(),
-            last_emit: Mutex::new(None),
-        }
+        Heartbeat { task, total, journal, start: Instant::now(), progress: Mutex::new((0, None)) }
     }
 
     /// Marks one trial finished and emits a heartbeat if one is due
     /// (first tick, ~1 s since the last emission, or sweep complete).
     fn tick(&self) {
-        let finished = (self.done.fetch_add(1, Ordering::Relaxed) + 1).min(self.total);
-        let due = {
-            let mut last = self.last_emit.lock().unwrap_or_else(|p| p.into_inner());
-            let due = finished >= self.total
-                || last.is_none_or(|t| t.elapsed() >= Duration::from_secs(1));
-            if due {
-                *last = Some(Instant::now());
-            }
-            due
-        };
+        let mut progress = self.progress.lock().unwrap_or_else(|p| p.into_inner());
+        let (finished, last) = &mut *progress;
+        *finished += 1;
+        let due =
+            *finished >= self.total || last.is_none_or(|t| t.elapsed() >= Duration::from_secs(1));
         if !due {
             return;
         }
+        *last = Some(Instant::now());
         let elapsed = self.start.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 { finished as f64 / elapsed } else { 0.0 };
-        let eta = if rate > 0.0 { (self.total - finished) as f64 / rate } else { f64::INFINITY };
-        diag::progress_rate(self.task, finished, self.total, rate, eta);
+        let rate = if elapsed > 0.0 { *finished as f64 / elapsed } else { 0.0 };
+        let eta = if rate > 0.0 { (self.total - *finished) as f64 / rate } else { f64::INFINITY };
+        diag::progress_rate(self.task, *finished, self.total, rate, eta);
         if let Some(j) = self.journal {
-            append_line(j, &heartbeat_line(self.task, finished, self.total, elapsed, rate, eta));
+            append_line(j, &heartbeat_line(self.task, *finished, self.total, elapsed, rate, eta));
         }
     }
-
-    /// A guard that ticks on unwind when `armed` — the only way a
-    /// panicking final attempt can still count toward progress, since the
-    /// panic skips every statement after it in the trial closure.
-    fn panic_guard(&'a self, armed: bool) -> PanicTick<'a> {
-        PanicTick { heartbeat: self, armed }
-    }
 }
 
-struct PanicTick<'a> {
-    heartbeat: &'a Heartbeat<'a>,
-    armed: bool,
-}
-
-impl Drop for PanicTick<'_> {
-    fn drop(&mut self) {
-        if self.armed && std::thread::panicking() {
-            self.heartbeat.tick();
+/// Opens `path` for append, first repairing a torn tail, and writes a
+/// header when the file is empty or `new_segment` is set.
+fn open_journal(path: &Path, config_hash: &str, new_segment: bool) -> Option<Mutex<File>> {
+    compact_torn_tail(path);
+    match File::options().create(true).append(true).open(path) {
+        Ok(f) => {
+            let empty = f.metadata().map(|m| m.len() == 0).unwrap_or(false);
+            let file = Mutex::new(f);
+            if empty || new_segment {
+                append_line(&file, &header_line(config_hash));
+            }
+            Some(file)
+        }
+        Err(e) => {
+            diag_warn!("cannot open trial journal {}: {e}", path.display());
+            None
         }
     }
 }
 
 /// Runs a modexp variant over `n_keys` random keys with per-trial fault
-/// isolation, journaling, and resume, per `opts`.
+/// isolation, journaling, and resume, per `opts`, and adds the outcome
+/// to the run report's trial tally.
 ///
 /// Trial ids are stable across invocations (variant, core config,
 /// key-bytes, seed, key index), so a journal written at one thread count
@@ -760,23 +733,24 @@ pub fn run_modexp_sweep(
 
     let sweep_id = format!("{}/{}{fb}/kb{key_bytes}/s{seed}", variant.name(), config.name);
 
-    let config_hash = options_config_hash(opts);
     let mut restored: BTreeMap<usize, Vec<IterationTrace>> = BTreeMap::new();
-    // A refused journal gets a fresh header before this sweep's trials,
-    // so the next resume pools only what this configuration recorded.
-    let mut new_segment = false;
-    if opts.resume {
-        if let Some(path) = &opts.journal {
+    let journal: Option<Mutex<File>> = opts.journal.as_ref().and_then(|path| {
+        let config_hash = options_config_hash(opts);
+        // A refused journal gets a fresh header before this sweep's
+        // trials, so the next resume pools only what this configuration
+        // recorded.
+        let mut new_segment = false;
+        if opts.resume {
             match load_journal(path) {
-                Ok(state) => match state.mismatch(&config_hash) {
+                Ok(mut state) => match state.mismatch(&config_hash) {
                     Some(why) => {
                         diag_warn!("resume ignored: journal {}: {why}", path.display());
                         new_segment = true;
                     }
                     None => {
                         for i in 0..n_keys {
-                            if let Some(iters) = state.completed.get(&trial_id(i)) {
-                                restored.insert(i, iters.clone());
+                            if let Some(iters) = state.completed.remove(&trial_id(i)) {
+                                restored.insert(i, iters);
                             }
                         }
                     }
@@ -784,46 +758,12 @@ pub fn run_modexp_sweep(
                 Err(e) => diag_warn!("resume ignored: {e}"),
             }
         }
-    }
-
-    let journal: Option<Mutex<File>> = opts.journal.as_ref().and_then(|path| {
-        compact_torn_tail(path);
-        match File::options().create(true).append(true).open(path) {
-            Ok(f) => {
-                let empty = f.metadata().map(|m| m.len() == 0).unwrap_or(false);
-                let file = Mutex::new(f);
-                if empty || new_segment {
-                    append_line(&file, &header_line(&config_hash));
-                }
-                Some(file)
-            }
-            Err(e) => {
-                diag_warn!("cannot open trial journal {}: {e}", path.display());
-                None
-            }
-        }
+        open_journal(path, &config_hash, new_segment)
     });
 
-    let all_work: Vec<usize> = (0..n_keys).filter(|i| !restored.contains_key(i)).collect();
-    let heartbeat = Heartbeat::new(variant.name(), all_work.len(), journal.as_ref());
-    let max_attempts = opts.policy.max_attempts.max(1);
+    let heartbeat = Heartbeat::new(variant.name(), n_keys - restored.len(), journal.as_ref());
     let ctl = RunControl { cancel: opts.cancel.clone(), deadline: opts.deadline };
-    let run_trial = |_: usize, &i: &usize, attempt: u32| -> Result<Vec<IterationTrace>, String> {
-        // A trial finishes by completing OR by exhausting its retries;
-        // both must tick the heartbeat, or a quarantined trial leaves the
-        // progress count short of total forever. Failures tick only on
-        // their *final* attempt so retries don't inflate the count; a
-        // panic is caught above this closure, so its tick rides on a
-        // drop guard armed iff this panic would be terminal.
-        let panic_is_final = !opts.policy.retry_panics || attempt + 1 >= max_attempts;
-        let _panic_tick = heartbeat.panic_guard(panic_is_final);
-        let error_is_final = !opts.policy.retry_sim_errors || attempt + 1 >= max_attempts;
-        let fail = |message: String| {
-            if error_is_final {
-                heartbeat.tick();
-            }
-            message
-        };
+    let run_trial = |i: usize, attempt: u32| -> Result<Vec<IterationTrace>, String> {
         let wedge = opts.wedge_trial == Some(i);
         // Re-seed per trial *and* per attempt: a retry explores a fresh
         // fault schedule, while `--threads N` determinism holds because
@@ -841,24 +781,40 @@ pub fn run_modexp_sweep(
         cfg.faults = faults;
         let trace = TraceConfig { faults, ..TraceConfig::default() };
         let key = &keys[i];
-        let mut machine = kernel
-            .machine(cfg, key, trace)
-            .map_err(|e| fail(format!("{}: {e}", variant.name())))?;
+        let mut machine =
+            kernel.machine(cfg, key, trace).map_err(|e| format!("{}: {e}", variant.name()))?;
         let budget = opts.max_cycles.unwrap_or_else(|| modexp::cycle_budget(key_bytes));
-        let run = machine.run(budget).map_err(|e| fail(format!("{}: {e}", variant.name())))?;
+        let run = machine.run(budget).map_err(|e| format!("{}: {e}", variant.name()))?;
         let want = kernel.reference(key);
         if run.exit_code != want {
-            return Err(fail(format!(
+            return Err(format!(
                 "{} functional mismatch: got {}, want {want}",
                 variant.name(),
                 run.exit_code
-            )));
+            ));
         }
-        if let Some(j) = &journal {
-            append_line(j, &completed_line(&trial_id(i), &run.iterations));
-        }
-        heartbeat.tick();
         Ok(run.iterations)
+    };
+    // Runs `work` (key indices) on the pool and files each outcome under
+    // its index. Once a trial's retries are settled it ticks progress,
+    // and a completed one is journaled; a cancelled trial does neither.
+    let run_keys = |work: &[usize], fresh: &mut BTreeMap<usize, TrialOutcome<_>>| {
+        let outcomes = microsampler_par::map(work, |_, &i| {
+            let outcome =
+                microsampler_par::run_isolated(&opts.policy, &ctl, i, |a| run_trial(i, a));
+            match &outcome {
+                TrialOutcome::Failed(f) if f.class == FailureClass::Cancelled => return outcome,
+                TrialOutcome::Completed(iters) => {
+                    if let Some(j) = &journal {
+                        append_line(j, &completed_line(&trial_id(i), iters));
+                    }
+                }
+                TrialOutcome::Failed(_) => {}
+            }
+            heartbeat.tick();
+            outcome
+        });
+        fresh.extend(work.iter().copied().zip(outcomes));
     };
 
     let mut fresh: BTreeMap<usize, TrialOutcome<Vec<IterationTrace>>> = BTreeMap::new();
@@ -866,22 +822,17 @@ pub fn run_modexp_sweep(
     // First key index NOT covered by this sweep: n_keys unless the
     // confidence sequence closed early.
     let mut stop_bound = n_keys;
+    let unrestored = |range: std::ops::Range<usize>| -> Vec<usize> {
+        range.filter(|i| !restored.contains_key(i)).collect()
+    };
     match opts.sequential {
-        None => {
-            let outcomes =
-                microsampler_par::map_isolated_ctl(&opts.policy, &ctl, &all_work, run_trial);
-            fresh.extend(all_work.iter().copied().zip(outcomes));
-        }
+        None => run_keys(&unrestored(0..n_keys), &mut fresh),
         Some(cfg) => {
             let mut analyzer = SequentialAnalyzer::new(cfg);
             let mut next_key = 0usize;
             let mut interrupted = false;
             for bound in look_points(n_keys) {
-                let segment: Vec<usize> =
-                    (next_key..bound).filter(|i| !restored.contains_key(i)).collect();
-                let outcomes =
-                    microsampler_par::map_isolated_ctl(&opts.policy, &ctl, &segment, run_trial);
-                fresh.extend(segment.iter().copied().zip(outcomes));
+                run_keys(&unrestored(next_key..bound), &mut fresh);
                 // Pool this segment in key order — restored and fresh
                 // interleave exactly as an uninterrupted sweep would, so
                 // the look sequence (and therefore the stopping point) is
@@ -922,11 +873,7 @@ pub fn run_modexp_sweep(
                 // through the (latched) cancel gate so they are accounted
                 // as cancelled exactly like the fixed-budget path, and
                 // the resume re-runs precisely that set.
-                let rest: Vec<usize> =
-                    (next_key..n_keys).filter(|i| !restored.contains_key(i)).collect();
-                let outcomes =
-                    microsampler_par::map_isolated_ctl(&opts.policy, &ctl, &rest, run_trial);
-                fresh.extend(rest.iter().copied().zip(outcomes));
+                run_keys(&unrestored(next_key..n_keys), &mut fresh);
             }
             let trace = analyzer.trace().clone();
             if !trace.looks.is_empty() {
@@ -954,56 +901,28 @@ pub fn run_modexp_sweep(
             // use them) but are not pooled, so an early-stopped resume is
             // bit-identical to an early-stopped fresh run.
             out.early_stopped += 1;
-            record_event(TrialEvent {
-                id: trial_id(i),
-                kind: TrialEventKind::EarlyStopped,
-                class: None,
-                message: None,
-                attempts: 0,
-            });
             continue;
         }
         if let Some(iters) = restored.remove(&i) {
             out.restored += 1;
-            record_event(TrialEvent {
-                id: trial_id(i),
-                kind: TrialEventKind::Restored,
-                class: None,
-                message: None,
-                attempts: 0,
-            });
             out.iterations.extend(iters);
             continue;
         }
-        match fresh.get(&i) {
+        match fresh.remove(&i) {
             Some(TrialOutcome::Completed(iters)) => {
                 out.completed += 1;
-                record_event(TrialEvent {
-                    id: trial_id(i),
-                    kind: TrialEventKind::Completed,
-                    class: None,
-                    message: None,
-                    attempts: 0,
-                });
-                out.iterations.extend(iters.iter().cloned());
+                out.iterations.extend(iters);
             }
             // Cancelled/deadline-skipped trials are neither journaled nor
             // quarantined: a resume re-runs exactly this set.
             Some(TrialOutcome::Failed(f)) if f.class == FailureClass::Cancelled => {
                 out.cancelled += 1;
-                record_event(TrialEvent {
-                    id: trial_id(i),
-                    kind: TrialEventKind::Cancelled,
-                    class: Some(f.class),
-                    message: Some(f.message.clone()),
-                    attempts: f.attempts,
-                });
             }
             Some(TrialOutcome::Failed(f)) => {
                 let q = QuarantinedTrial {
                     id: trial_id(i),
                     class: f.class,
-                    message: f.message.clone(),
+                    message: f.message,
                     attempts: f.attempts,
                 };
                 diag_warn!(
@@ -1016,24 +935,19 @@ pub fn run_modexp_sweep(
                 if let Some(j) = &journal {
                     append_line(j, &quarantined_line(&q));
                 }
-                record_event(TrialEvent {
-                    id: q.id.clone(),
-                    kind: TrialEventKind::Quarantined,
-                    class: Some(q.class),
-                    message: Some(q.message.clone()),
-                    attempts: q.attempts,
-                });
                 out.quarantined.push(q);
             }
             None => unreachable!("every non-restored index has an outcome"),
         }
     }
+    tally().add(&out);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn sample_iteration(label: u64) -> IterationTrace {
         let unit = |hash: u64| UnitTrace {
@@ -1148,28 +1062,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_panic_guard_ticks_only_terminal_panics() {
-        let hb = Heartbeat::new("t", 4, None);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = hb.panic_guard(true);
-            panic!("trial exploded");
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(hb.done.load(Ordering::Relaxed), 1, "terminal panic ticks");
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = hb.panic_guard(false);
-            panic!("will be retried");
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(hb.done.load(Ordering::Relaxed), 1, "retried panic must not tick");
-        // A normal (non-unwinding) drop never ticks, armed or not.
-        drop(hb.panic_guard(true));
-        assert_eq!(hb.done.load(Ordering::Relaxed), 1);
-        hb.tick();
-        assert_eq!(hb.done.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
     fn load_journal_skips_torn_trailing_line() {
         // Simulate a kill -9 mid-append: a complete record followed by a
         // truncated one with no trailing newline.
@@ -1224,7 +1116,6 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("microsampler-journal-cancelled-{}.jsonl", std::process::id()));
         std::fs::write(&path, "").unwrap();
-        reset_events();
         let opts = SweepOptions {
             cancel: Some(token),
             journal: Some(path.clone()),
@@ -1241,7 +1132,6 @@ mod tests {
         );
         let journal_text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        reset_events();
         assert_eq!(out.cancelled, 3, "pre-cancelled sweep skips every trial");
         assert_eq!(out.completed, 0);
         assert!(out.quarantined.is_empty(), "cancellation is not quarantine");
@@ -1461,7 +1351,6 @@ mod tests {
             faults: Some(FaultConfig { evict_per_64k: 16, ..FaultConfig::default() }),
             ..SweepOptions::default()
         };
-        reset_events();
         let first = run_modexp_sweep(
             ModexpVariant::V2Safe,
             &microsampler_sim::CoreConfig::mega_boom(),
@@ -1473,7 +1362,6 @@ mod tests {
         assert_eq!(first.completed, 2);
 
         // Resuming under different fault noise must not pool the old trials.
-        reset_events();
         let clean_resume = SweepOptions { faults: None, resume: true, ..noisy.clone() };
         let second = run_modexp_sweep(
             ModexpVariant::V2Safe,
@@ -1491,22 +1379,14 @@ mod tests {
         // them either: it re-runs, and opens a segment of its own.
         let same_resume = SweepOptions { resume: true, ..noisy.clone() };
         let resume = || {
-            reset_events();
-            run_modexp_sweep(
-                ModexpVariant::V2Safe,
-                &microsampler_sim::CoreConfig::mega_boom(),
-                2,
-                1,
-                42,
-                &same_resume,
-            )
+            let mega = microsampler_sim::CoreConfig::mega_boom();
+            run_modexp_sweep(ModexpVariant::V2Safe, &mega, 2, 1, 42, &same_resume)
         };
         let third = resume();
         assert_eq!((third.restored, third.completed), (0, 2), "clean trials never pool");
         // Resuming under the last segment's config restores it exactly.
         let fourth = resume();
         std::fs::remove_file(&path).ok();
-        reset_events();
         assert_eq!((fourth.restored, fourth.completed), (2, 0));
         assert_eq!(fourth.iterations, first.iterations, "the restored trials are the noisy ones");
     }
@@ -1523,7 +1403,6 @@ mod tests {
             sequential: Some(SeqConfig::default()),
             ..SweepOptions::default()
         };
-        reset_events();
         let out = run_modexp_sweep(
             ModexpVariant::Naive,
             &microsampler_sim::CoreConfig::mega_boom(),
@@ -1543,7 +1422,6 @@ mod tests {
         // A resume replays the journal and reproduces the same stopping
         // point — same looks, same verdict, same pooled iterations —
         // without running a single trial.
-        reset_events();
         let resumed = run_modexp_sweep(
             ModexpVariant::Naive,
             &microsampler_sim::CoreConfig::mega_boom(),
@@ -1553,7 +1431,6 @@ mod tests {
             &SweepOptions { resume: true, ..opts.clone() },
         );
         std::fs::remove_file(&path).ok();
-        reset_events();
         assert_eq!(resumed.completed, 0, "nothing re-runs on resume");
         assert_eq!(resumed.restored, out.completed);
         assert_eq!(resumed.early_stopped, out.early_stopped);
@@ -1570,7 +1447,6 @@ mod tests {
             sequential: Some(SeqConfig::default()),
             ..SweepOptions::default()
         };
-        reset_events();
         let out = run_modexp_sweep(
             ModexpVariant::V2Safe,
             &microsampler_sim::CoreConfig::mega_boom(),
@@ -1579,7 +1455,6 @@ mod tests {
             42,
             &opts,
         );
-        reset_events();
         let stop = out.stop.expect("sequential sweeps carry a stop trace");
         assert_eq!(stop.verdict, microsampler_core::SeqVerdict::Clean);
         // Whatever trials the sequence used, the verdict agrees with the
@@ -1590,29 +1465,36 @@ mod tests {
 
     #[test]
     fn events_registry_renders_stable_json() {
-        reset_events();
-        record_event(TrialEvent {
-            id: "a".into(),
-            kind: TrialEventKind::Completed,
-            class: None,
-            message: None,
-            attempts: 0,
-        });
-        record_event(TrialEvent {
-            id: "b".into(),
-            kind: TrialEventKind::Quarantined,
-            class: Some(FailureClass::Panicked),
-            message: Some("boom".into()),
-            attempts: 1,
-        });
-        let v = events_to_json();
-        reset_events();
-        assert_eq!(v.get("completed").unwrap().as_u64(), Some(1));
+        let mut tally = Tally::default();
+        let outcome = |completed, quarantined| SweepOutcome {
+            iterations: Vec::new(),
+            completed,
+            restored: 0,
+            cancelled: 1,
+            early_stopped: 0,
+            quarantined,
+            stop: None,
+        };
+        tally.add(&outcome(2, Vec::new()));
+        tally.add(&outcome(
+            1,
+            vec![QuarantinedTrial {
+                id: "b".into(),
+                class: FailureClass::Panicked,
+                message: "boom".into(),
+                attempts: 1,
+            }],
+        ));
+        let v = tally.to_json();
+        assert_eq!(v.get("completed").unwrap().as_u64(), Some(3));
         assert_eq!(v.get("restored").unwrap().as_u64(), Some(0));
+        assert_eq!(v.get("cancelled").unwrap().as_u64(), Some(2));
+        assert_eq!(v.get("early_stopped").unwrap().as_u64(), Some(0));
         let q = v.get("quarantined").unwrap().as_array().unwrap();
         assert_eq!(q.len(), 1);
         assert_eq!(q[0].get("id").unwrap().as_str(), Some("b"));
         assert_eq!(q[0].get("class").unwrap().as_str(), Some("panicked"));
+        assert_eq!(q[0].get("message").unwrap().as_str(), Some("boom"));
         assert_eq!(q[0].get("attempts").unwrap().as_u64(), Some(1));
     }
 

@@ -1,17 +1,20 @@
 //! Crash-resilient sweep harness integration tests: quarantine of wedged
 //! trials, journal/resume, cross-thread-count determinism of injected
-//! faults, and retry classification for budget exhaustion.
+//! faults, retry classification for budget exhaustion, and
+//! `run_modexp_iterations` as a plain call of the same sweep.
 
-use microsampler_bench::sweep::{self, SweepOptions, TrialEventKind};
+use microsampler_bench::run_modexp_iterations;
+use microsampler_bench::sweep::{self, SweepOptions};
 use microsampler_kernels::modexp::ModexpVariant;
 use microsampler_obs::{diag, json, Value};
-use microsampler_par::FailureClass;
+use microsampler_par::{FailureClass, IsolationPolicy};
 use microsampler_sim::{CoreConfig, FaultConfig};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
-/// The thread override and the trial event registry are process-global;
-/// serialize every test that touches them.
+/// The thread override, the sweep options and the trial tally are
+/// process-global; serialize every test that touches them.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn tmp(name: &str) -> PathBuf {
@@ -20,6 +23,11 @@ fn tmp(name: &str) -> PathBuf {
 
 fn sweep_with(opts: &SweepOptions, n_keys: usize, seed: u64) -> sweep::SweepOutcome {
     sweep::run_modexp_sweep(ModexpVariant::V2Safe, &CoreConfig::mega_boom(), n_keys, 1, seed, opts)
+}
+
+/// [`run_modexp_iterations`] over the keys [`sweep_with`] runs.
+fn iterations(n_keys: usize, seed: u64) -> Vec<microsampler_sim::IterationTrace> {
+    run_modexp_iterations(ModexpVariant::V2Safe, &CoreConfig::mega_boom(), n_keys, 1, seed)
 }
 
 #[test]
@@ -202,7 +210,63 @@ fn exhausted_cycle_budget_is_quarantined_after_retry() {
         assert_eq!(q.attempts, 2, "OutOfCycles is retried once, then quarantined");
         assert!(q.message.contains("cycle budget"), "{}", q.message);
     }
-    let events = sweep::events();
-    assert!(events.iter().all(|e| e.kind == TrialEventKind::Quarantined));
+    let v = sweep::events_to_json();
+    assert_eq!(v.get("completed").unwrap().as_u64(), Some(0));
+    assert_eq!(v.get("quarantined").unwrap().as_array().unwrap().len(), 2);
     sweep::reset_events();
+}
+
+#[test]
+fn plain_run_modexp_iterations_tallies_its_trials() {
+    let _l = LOCK.lock().unwrap();
+    sweep::set_options(None);
+    sweep::reset_events();
+    let iters = iterations(3, 42);
+    let v = sweep::events_to_json();
+    sweep::reset_events();
+    assert!(!iters.is_empty());
+    assert_eq!(v.get("completed").unwrap().as_u64(), Some(3), "{}", v.render_compact());
+    assert!(v.get("quarantined").unwrap().as_array().unwrap().is_empty());
+}
+
+#[test]
+fn quarantine_panics_unless_isolated() {
+    let _l = LOCK.lock().unwrap();
+    let wedged = SweepOptions { wedge_trial: Some(1), ..SweepOptions::default() };
+    sweep::set_options(Some(wedged.clone()));
+    let panicked = std::panic::catch_unwind(|| iterations(3, 42));
+    sweep::set_options(Some(SweepOptions { isolate: true, ..wedged.clone() }));
+    let survivors = iterations(3, 42);
+    sweep::set_options(None);
+    sweep::reset_events();
+    let payload = panicked.expect_err("a quarantined trial fails an unisolated run");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+    assert!(message.contains("key0001") && message.contains("sim-error"), "{message}");
+    let want = sweep_with(&SweepOptions { isolate: true, ..wedged }, 3, 42);
+    assert_eq!(want.completed, 2);
+    assert_eq!(survivors, want.iterations, "isolated runs return the survivors");
+}
+
+#[test]
+fn timed_out_trials_tick_the_heartbeat_once_each() {
+    let _l = LOCK.lock().unwrap();
+    let journal = tmp("timeout");
+    std::fs::write(&journal, "").unwrap();
+    let policy = IsolationPolicy { timeout: Some(Duration::ZERO), ..IsolationPolicy::default() };
+    let opts = SweepOptions { journal: Some(journal.clone()), policy, ..SweepOptions::default() };
+    let out = sweep_with(&opts, 3, 42);
+    let text = std::fs::read_to_string(&journal).unwrap();
+    std::fs::remove_file(&journal).ok();
+    sweep::reset_events();
+    assert_eq!(out.quarantined.len(), 3, "a zero budget times out every trial");
+    assert!(out.quarantined.iter().all(|q| q.class == FailureClass::TimedOut));
+    assert!(!text.contains("\"status\":\"completed\""), "timed-out trials are not completed");
+    let heartbeats: Vec<Value> = text
+        .lines()
+        .map(|l| json::parse(l).expect("every journal line is valid JSON"))
+        .filter(|v| v.get("schema").and_then(Value::as_str) == Some(sweep::HEARTBEAT_SCHEMA))
+        .collect();
+    let done = |hb: &&Value| hb.get("completed") == hb.get("total");
+    assert_eq!(heartbeats.iter().filter(done).count(), 1, "{heartbeats:?}");
+    assert!(done(&heartbeats.last().unwrap()), "the count ends at total");
 }

@@ -22,23 +22,9 @@ fn tiny() -> ProfileOptions {
     }
 }
 
-/// The deterministic subset of a `BENCH_sim.json` report: everything but
-/// the `host` objects (wall-clock timings vary run to run).
-fn deterministic_subset(report: &Value) -> String {
-    let kernels = report.get("kernels").unwrap().as_array().unwrap();
-    let stripped: Vec<Value> = kernels
-        .iter()
-        .map(|k| {
-            Value::object()
-                .field("name", k.get("name").unwrap().clone())
-                .field("sim", k.get("sim").unwrap().clone())
-                .field("utilization", k.get("utilization").unwrap().clone())
-                .field("stalls", k.get("stalls").unwrap().clone())
-                .field("pipeline", k.get("pipeline").unwrap().clone())
-                .build()
-        })
-        .collect();
-    Value::Array(stripped).render_compact()
+/// The `kernels` array of a `BENCH_sim.json` report.
+fn kernels(report: &Value) -> String {
+    report.get("kernels").unwrap().render_compact()
 }
 
 #[test]
@@ -48,15 +34,15 @@ fn pipeline_counters_bit_identical_across_thread_counts() {
     let opts = tiny();
     microsampler_par::set_threads(Some(1));
     let serial = profile_kernels(&config, &opts).unwrap();
-    let serial_json = deterministic_subset(&report_to_json(&serial, &config, 1));
+    let serial_json = kernels(&report_to_json(&serial, &config, 1));
     for threads in [2, 4] {
         microsampler_par::set_threads(Some(threads));
         let parallel = profile_kernels(&config, &opts).unwrap();
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.pipeline, p.pipeline, "{} counters diverge at threads={threads}", s.name);
         }
-        let parallel_json = deterministic_subset(&report_to_json(&parallel, &config, threads));
-        assert_eq!(parallel_json, serial_json, "BENCH_sim deterministic subset, threads={threads}");
+        let parallel_json = kernels(&report_to_json(&parallel, &config, threads));
+        assert_eq!(parallel_json, serial_json, "BENCH_sim kernels, threads={threads}");
     }
     microsampler_par::set_threads(None);
     assert!(serial.iter().all(|p| p.pipeline.cycles > 0), "the baseline must be non-trivial");

@@ -143,14 +143,36 @@ fn overload_is_rejected_with_structured_busy() {
 
 /// A request nested far deeper than any real one is a parse error, not a
 /// stack overflow: the session answers with an `error` event and the
-/// daemon keeps serving.
+/// daemon keeps serving. The line stays just under the 64 KiB request
+/// cap, so it reaches the parser.
 #[test]
 fn deeply_nested_request_gets_an_error_and_the_daemon_survives() {
     let dir = tmp_dir("nested");
     let (mut daemon, socket) = start_daemon(&dir, &[]);
-    let (_s1, _r1, reply) = raw_request(&socket, &"[".repeat(100_000));
+    let (_s1, _r1, reply) = raw_request(&socket, &"[".repeat(65_000));
     assert!(reply.contains("\"event\":\"error\"") && reply.contains("nested deeper"), "{reply}");
     let (_s2, _r2, status) = raw_request(&socket, "{\"op\":\"status\"}");
+    assert!(status.contains("\"event\":\"status\""), "{status}");
+    sigterm(&daemon);
+    let exit = wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");
+    assert_eq!(exit.code(), Some(0), "graceful shutdown exits 0");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request line past the 64 KiB cap is answered with an `error` event
+/// naming the cap, the connection closes, and the daemon keeps serving.
+#[test]
+fn oversized_request_line_gets_an_error_and_the_daemon_survives() {
+    let dir = tmp_dir("oversized");
+    let (mut daemon, socket) = start_daemon(&dir, &[]);
+    let mut stream = UnixStream::connect(&socket).expect("connects");
+    // The daemon stops reading at the cap, so the rest of this write may
+    // fail with a broken pipe.
+    let _ = stream.write_all(&vec![b'x'; 1 << 20]);
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).expect("error line");
+    assert!(reply.contains("\"event\":\"error\"") && reply.contains("65536 bytes"), "{reply}");
+    let (_s, _r, status) = raw_request(&socket, "{\"op\":\"status\"}");
     assert!(status.contains("\"event\":\"status\""), "{status}");
     sigterm(&daemon);
     let exit = wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");

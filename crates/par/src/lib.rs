@@ -19,10 +19,10 @@
 //!   metrics per pool run, and spans recorded on worker threads re-attached
 //!   under the caller's open span (each worker's busy time shows up as a
 //!   `par.worker` node),
-//! * fault tolerance — [`map_isolated`] wraps each task in a panic
+//! * fault tolerance — [`run_isolated`] runs one task behind a panic
 //!   boundary with a bounded retry policy ([`IsolationPolicy`]), so one
 //!   wedged or panicking trial is quarantined as a [`TrialOutcome`]
-//!   instead of sinking the whole sweep.
+//!   instead of sinking the whole sweep; callers fan it out with [`map`].
 //!
 //! # Thread-count resolution
 //!
@@ -197,10 +197,9 @@ where
 ///
 /// Cancellation is a latch: once [`cancel`](CancelToken::cancel) fires,
 /// every clone observes it and it never resets. Tasks already running are
-/// not interrupted — the pool simply stops *starting* work, so a
-/// cancelled [`map_isolated_ctl`] run drains quickly (bounded by the
-/// longest single task) and the skipped tasks report
-/// [`FailureClass::Cancelled`].
+/// not interrupted — [`run_isolated`] simply stops *starting* attempts,
+/// so a cancelled fan-out drains quickly (bounded by the longest single
+/// task) and the skipped tasks report [`FailureClass::Cancelled`].
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -231,7 +230,7 @@ pub enum StopReason {
     DeadlineExceeded,
 }
 
-/// Control surface for [`map_isolated_ctl`]: cooperative cancellation and
+/// Control surface for [`run_isolated`]: cooperative cancellation and
 /// an optional wall-clock deadline. The default (no token, no deadline)
 /// never stops a run early.
 #[derive(Clone, Debug, Default)]
@@ -334,7 +333,7 @@ impl<R> TrialOutcome<R> {
     }
 }
 
-/// Retry and timeout policy for [`map_isolated`].
+/// Retry and timeout policy for [`run_isolated`].
 ///
 /// The timeout is a *post-hoc classifier*, not a preemption mechanism: a
 /// running task cannot be killed from outside, so the simulator's own
@@ -412,19 +411,23 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs one trial under the policy's attempt budget and classifies the
-/// outcome. Records `trial.retried` per retry and `trial.quarantined` on
-/// terminal failure.
-fn run_isolated<T, R, F>(
+/// Runs one task behind a panic boundary under the policy's attempt
+/// budget and classifies the outcome: the task's value, or a
+/// [`TrialOutcome::Failed`] record instead of an unwinding caller.
+///
+/// The task receives the attempt number, counting from 0, so callers can
+/// salt retries (e.g. re-seed a fault plan per attempt). `index` only
+/// names the task in retry diagnostics. Once `ctl` is cancelled or its
+/// deadline passes, an attempt that has not started is skipped with
+/// [`FailureClass::Cancelled`]; a running attempt finishes normally.
+/// Fan tasks out with [`map`]. Records `trial.retried` per retry and
+/// `trial.quarantined` on terminal failure.
+pub fn run_isolated<R>(
     policy: &IsolationPolicy,
     ctl: &RunControl,
     index: usize,
-    item: &T,
-    f: &F,
-) -> TrialOutcome<R>
-where
-    F: Fn(usize, &T, u32) -> Result<R, String>,
-{
+    task: impl Fn(u32) -> Result<R, String>,
+) -> TrialOutcome<R> {
     let max_attempts = policy.max_attempts.max(1);
     let mut attempt = 0u32;
     loop {
@@ -442,7 +445,7 @@ where
             });
         }
         let start = Instant::now();
-        let caught = catch_unwind(AssertUnwindSafe(|| f(index, item, attempt)));
+        let caught = catch_unwind(AssertUnwindSafe(|| task(attempt)));
         let overtime = policy.timeout.is_some_and(|budget| start.elapsed() >= budget);
         let (class, message) = match caught {
             Ok(Ok(result)) if !overtime => return TrialOutcome::Completed(result),
@@ -477,44 +480,6 @@ where
         metrics::record("trial.quarantined", 1.0);
         return TrialOutcome::Failed(TrialFailure { class, message, attempts: attempt });
     }
-}
-
-/// [`map`] with per-task fault isolation: each task runs behind a panic
-/// boundary and a bounded retry loop, and failures become
-/// [`TrialOutcome::Failed`] values instead of unwinding the caller.
-///
-/// The task receives `(index, item, attempt)` with `attempt` counting
-/// from 0, so callers can salt retries (e.g. re-seed a fault plan per
-/// attempt). Ordering, stealing, and nesting semantics match [`map`].
-pub fn map_isolated<T, R, F>(policy: &IsolationPolicy, items: &[T], f: F) -> Vec<TrialOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, u32) -> Result<R, String> + Sync,
-{
-    map_isolated_ctl(policy, &RunControl::default(), items, f)
-}
-
-/// [`map_isolated`] under a [`RunControl`]: once the control's token is
-/// cancelled or its deadline passes, tasks that have not started (and
-/// retries that have not begun) are skipped with
-/// [`FailureClass::Cancelled`] instead of running. Tasks already
-/// executing finish normally, so the pooled results stay deterministic
-/// for every task that did run.
-pub fn map_isolated_ctl<T, R, F>(
-    policy: &IsolationPolicy,
-    ctl: &RunControl,
-    items: &[T],
-    f: F,
-) -> Vec<TrialOutcome<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T, u32) -> Result<R, String> + Sync,
-{
-    let policy = *policy;
-    let ctl = ctl.clone();
-    map(items, move |i, item| run_isolated(&policy, &ctl, i, item, &f))
 }
 
 /// The scoped pool core: `workers` threads steal chunked index ranges
@@ -689,12 +654,24 @@ mod tests {
         assert!(get("par.steal").is_some());
     }
 
+    /// Fans `f` out with [`map`], each task behind [`run_isolated`].
+    fn isolate_each<T: Sync, R: Send>(
+        policy: &IsolationPolicy,
+        ctl: &RunControl,
+        items: &[T],
+        f: impl Fn(usize, &T, u32) -> Result<R, String> + Sync,
+    ) -> Vec<TrialOutcome<R>> {
+        map(items, |i, item| run_isolated(policy, ctl, i, |attempt| f(i, item, attempt)))
+    }
+
     #[test]
-    fn map_isolated_completes_ordinary_tasks() {
+    fn run_isolated_completes_ordinary_tasks() {
         let _l = LOCK.lock().unwrap();
         let items: Vec<u64> = (0..23).collect();
         let outcomes = with_threads(4, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, &x, _| Ok(x * 2))
+            isolate_each(&IsolationPolicy::default(), &RunControl::default(), &items, |_, &x, _| {
+                Ok(x * 2)
+            })
         });
         let values: Vec<u64> = outcomes.into_iter().map(|o| o.completed().unwrap()).collect();
         let want: Vec<u64> = items.iter().map(|&x| x * 2).collect();
@@ -702,11 +679,11 @@ mod tests {
     }
 
     #[test]
-    fn map_isolated_quarantines_panics_without_unwinding() {
+    fn run_isolated_quarantines_panics_without_unwinding() {
         let _l = LOCK.lock().unwrap();
         let items: Vec<u64> = (0..8).collect();
         let outcomes = with_threads(4, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, &x, _| {
+            isolate_each(&IsolationPolicy::default(), &RunControl::default(), &items, |_, &x, _| {
                 assert!(x != 5, "trial 5 exploded");
                 Ok::<u64, String>(x)
             })
@@ -719,17 +696,22 @@ mod tests {
     }
 
     #[test]
-    fn map_isolated_retries_sim_errors_with_attempt_salt() {
+    fn run_isolated_retries_sim_errors_with_attempt_salt() {
         let _l = LOCK.lock().unwrap();
         let items = [1u64, 2, 3];
         let outcomes = with_threads(2, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, &x, attempt| {
-                if x == 2 && attempt == 0 {
-                    Err("transient wobble".to_string())
-                } else {
-                    Ok(x * 10 + attempt as u64)
-                }
-            })
+            isolate_each(
+                &IsolationPolicy::default(),
+                &RunControl::default(),
+                &items,
+                |_, &x, attempt| {
+                    if x == 2 && attempt == 0 {
+                        Err("transient wobble".to_string())
+                    } else {
+                        Ok(x * 10 + attempt as u64)
+                    }
+                },
+            )
         });
         assert_eq!(outcomes[0], TrialOutcome::Completed(10));
         assert_eq!(outcomes[1], TrialOutcome::Completed(21), "succeeded on the retry attempt");
@@ -737,13 +719,13 @@ mod tests {
     }
 
     #[test]
-    fn map_isolated_exhausts_retries_and_records_metrics() {
+    fn run_isolated_exhausts_retries_and_records_metrics() {
         let _l = LOCK.lock().unwrap();
         metrics::set_enabled(true);
         metrics::reset();
         let items = [0u64];
         let outcomes = with_threads(1, || {
-            map_isolated(&IsolationPolicy::default(), &items, |_, _, _| {
+            isolate_each(&IsolationPolicy::default(), &RunControl::default(), &items, |_, _, _| {
                 Err::<u64, String>("deadlock: no commit for 20000 cycles".to_string())
             })
         });
@@ -788,7 +770,7 @@ mod tests {
     }
 
     #[test]
-    fn map_isolated_sleeps_backoff_between_retries() {
+    fn run_isolated_sleeps_backoff_between_retries() {
         let _l = LOCK.lock().unwrap();
         let policy = IsolationPolicy {
             max_attempts: 3,
@@ -797,7 +779,9 @@ mod tests {
         };
         let start = Instant::now();
         let outcomes = with_threads(1, || {
-            map_isolated(&policy, &[0u64], |_, _, _| Err::<u64, String>("always fails".into()))
+            isolate_each(&policy, &RunControl::default(), &[0u64], |_, _, _| {
+                Err::<u64, String>("always fails".into())
+            })
         });
         // Two retries: 20ms + 40ms of scheduled backoff.
         assert!(start.elapsed() >= Duration::from_millis(60), "backoff must be slept");
@@ -812,7 +796,7 @@ mod tests {
         let ctl = RunControl { cancel: Some(token.clone()), deadline: None };
         let items: Vec<u64> = (0..8).collect();
         let outcomes = with_threads(2, || {
-            map_isolated_ctl(&IsolationPolicy::default(), &ctl, &items, |_, &x, _| Ok(x))
+            isolate_each(&IsolationPolicy::default(), &ctl, &items, |_, &x, _| Ok(x))
         });
         for o in &outcomes {
             let failure = o.failure().expect("pre-cancelled run never starts a task");
@@ -831,7 +815,7 @@ mod tests {
         let items: Vec<u64> = (0..64).collect();
         let outcomes = with_threads(1, || {
             let token = token.clone();
-            map_isolated_ctl(&IsolationPolicy::default(), &ctl, &items, move |i, &x, _| {
+            isolate_each(&IsolationPolicy::default(), &ctl, &items, move |i, &x, _| {
                 if i == 2 {
                     token.cancel();
                 }
@@ -848,7 +832,7 @@ mod tests {
         let _l = LOCK.lock().unwrap();
         let ctl = RunControl { cancel: None, deadline: Some(Instant::now()) };
         let outcomes = with_threads(1, || {
-            map_isolated_ctl(&IsolationPolicy::default(), &ctl, &[1u64], |_, &x, _| Ok(x))
+            isolate_each(&IsolationPolicy::default(), &ctl, &[1u64], |_, &x, _| Ok(x))
         });
         let failure = outcomes[0].failure().expect("expired deadline skips the task");
         assert_eq!(failure.class, FailureClass::Cancelled);
@@ -856,14 +840,16 @@ mod tests {
     }
 
     #[test]
-    fn map_isolated_classifies_overtime_results() {
+    fn run_isolated_classifies_overtime_results() {
         let _l = LOCK.lock().unwrap();
         let policy = IsolationPolicy {
             timeout: Some(Duration::ZERO),
             retry_timeouts: false,
             ..IsolationPolicy::default()
         };
-        let outcomes = with_threads(1, || map_isolated(&policy, &[7u64], |_, &x, _| Ok(x)));
+        let outcomes = with_threads(1, || {
+            isolate_each(&policy, &RunControl::default(), &[7u64], |_, &x, _| Ok(x))
+        });
         let failure = outcomes[0].failure().expect("zero budget times out");
         assert_eq!(failure.class, FailureClass::TimedOut);
         assert_eq!(failure.attempts, 1);

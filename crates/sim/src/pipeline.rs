@@ -12,7 +12,7 @@
 //! Per-iteration deltas ride on [`IterationTrace`](crate::IterationTrace)
 //! (captured at the `ITER_START`/`ITER_END` markers) and the run-level
 //! totals on [`RunResult`](crate::RunResult); `repro profile` aggregates
-//! them into the `BENCH_sim.json` throughput baseline.
+//! them into the `BENCH_sim.json` pipeline report.
 //!
 //! [`CoreStats`]: crate::CoreStats
 
