@@ -14,7 +14,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The thread override, the sweep options and the trial tally are
-/// process-global; serialize every test that touches them.
+/// process-global; serialize every test that touches them. Tests take the
+/// lock through a poison, so one failing test does not turn every later
+/// one into a `PoisonError`.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn tmp(name: &str) -> PathBuf {
@@ -32,7 +34,7 @@ fn iterations(n_keys: usize, seed: u64) -> Vec<microsampler_sim::IterationTrace>
 
 #[test]
 fn wedged_trial_is_quarantined_and_the_sweep_completes() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     sweep::reset_events();
     let opts = SweepOptions { wedge_trial: Some(1), isolate: true, ..SweepOptions::default() };
     let out = sweep_with(&opts, 3, 42);
@@ -56,7 +58,7 @@ fn wedged_trial_is_quarantined_and_the_sweep_completes() {
 
 #[test]
 fn journal_resume_reruns_only_the_missing_trials() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let path = tmp("resume");
     std::fs::write(&path, "").unwrap();
 
@@ -104,7 +106,7 @@ fn journal_resume_reruns_only_the_missing_trials() {
 
 #[test]
 fn injected_fault_schedules_are_thread_count_invariant() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let faults = FaultConfig {
         seed: 0x0051_ee93,
         squash_per_64k: 500,
@@ -145,7 +147,7 @@ fn injected_fault_schedules_are_thread_count_invariant() {
 
 #[test]
 fn quarantined_trial_still_ticks_progress_and_heartbeat() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     sweep::reset_events();
     let journal = tmp("heartbeat");
     std::fs::write(&journal, "").unwrap();
@@ -199,7 +201,7 @@ fn quarantined_trial_still_ticks_progress_and_heartbeat() {
 
 #[test]
 fn exhausted_cycle_budget_is_quarantined_after_retry() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     sweep::reset_events();
     let opts = SweepOptions { isolate: true, max_cycles: Some(500), ..SweepOptions::default() };
     let out = sweep_with(&opts, 2, 5);
@@ -218,7 +220,7 @@ fn exhausted_cycle_budget_is_quarantined_after_retry() {
 
 #[test]
 fn plain_run_modexp_iterations_tallies_its_trials() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     sweep::set_options(None);
     sweep::reset_events();
     let iters = iterations(3, 42);
@@ -231,7 +233,7 @@ fn plain_run_modexp_iterations_tallies_its_trials() {
 
 #[test]
 fn quarantine_panics_unless_isolated() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let wedged = SweepOptions { wedge_trial: Some(1), ..SweepOptions::default() };
     sweep::set_options(Some(wedged.clone()));
     let panicked = std::panic::catch_unwind(|| iterations(3, 42));
@@ -249,7 +251,7 @@ fn quarantine_panics_unless_isolated() {
 
 #[test]
 fn timed_out_trials_tick_the_heartbeat_once_each() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let journal = tmp("timeout");
     std::fs::write(&journal, "").unwrap();
     let policy = IsolationPolicy { timeout: Some(Duration::ZERO), ..IsolationPolicy::default() };

@@ -34,12 +34,28 @@ fn wait_for(mut cond: impl FnMut() -> bool, timeout: Duration, what: &str) {
     panic!("timed out waiting for {what}");
 }
 
+/// A running `repro serve`. Dropping the guard kills and reaps the
+/// daemon and removes its state directory, so a test that fails before
+/// its own shutdown leaves nothing running behind.
+struct Daemon {
+    child: Child,
+    state: PathBuf,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+        std::fs::remove_dir_all(&self.state).ok();
+    }
+}
+
 /// Starts a daemon on `state/serve.sock` and waits until it accepts
 /// connections (a stale socket file from a killed predecessor refuses
 /// them, so existence alone is not readiness).
-fn start_daemon(state: &Path, extra: &[&str]) -> (Child, PathBuf) {
+fn start_daemon(state: &Path, extra: &[&str]) -> (Daemon, PathBuf) {
     let socket = state.join("serve.sock");
-    let daemon = repro()
+    let child = repro()
         .arg("serve")
         .arg("--state")
         .arg(state)
@@ -48,6 +64,7 @@ fn start_daemon(state: &Path, extra: &[&str]) -> (Child, PathBuf) {
         .stderr(Stdio::null())
         .spawn()
         .expect("daemon spawns");
+    let daemon = Daemon { child, state: state.to_path_buf() };
     wait_for(
         || UnixStream::connect(&socket).is_ok(),
         Duration::from_secs(30),
@@ -56,24 +73,23 @@ fn start_daemon(state: &Path, extra: &[&str]) -> (Child, PathBuf) {
     (daemon, socket)
 }
 
-fn sigterm(daemon: &Child) {
+fn sigterm(daemon: &Daemon) {
     let ok = Command::new("sh")
         .arg("-c")
-        .arg(format!("kill -TERM {}", daemon.id()))
+        .arg(format!("kill -TERM {}", daemon.child.id()))
         .status()
         .expect("kill runs")
         .success();
     assert!(ok, "SIGTERM delivered");
 }
 
-fn wait_exit(child: &mut Child, timeout: Duration, what: &str) -> std::process::ExitStatus {
+fn wait_exit(daemon: &mut Daemon, timeout: Duration, what: &str) -> std::process::ExitStatus {
     let deadline = Instant::now() + timeout;
     loop {
-        if let Some(status) = child.try_wait().expect("try_wait") {
+        if let Some(status) = daemon.child.try_wait().expect("try_wait") {
             return status;
         }
         if Instant::now() >= deadline {
-            child.kill().ok();
             panic!("timed out waiting for {what} to exit");
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -109,7 +125,7 @@ fn extract_verdict(stdout: &[u8]) -> String {
 #[test]
 fn overload_is_rejected_with_structured_busy() {
     let dir = tmp_dir("busy");
-    let (mut daemon, socket) = start_daemon(&dir, &["--queue", "2", "--per-client", "1"]);
+    let (_daemon, socket) = start_daemon(&dir, &["--queue", "2", "--per-client", "1"]);
     // A deliberately chunky job keeps the queue occupied while the
     // follow-up submissions probe the backpressure paths.
     let job = |client: &str| {
@@ -135,10 +151,6 @@ fn overload_is_rejected_with_structured_busy() {
         full.contains("\"event\":\"busy\"") && full.contains("\"reason\":\"queue-full\""),
         "a third outstanding job must overflow the bounded queue: {full}"
     );
-
-    daemon.kill().ok();
-    daemon.wait().ok();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A request nested far deeper than any real one is a parse error, not a
@@ -156,7 +168,6 @@ fn deeply_nested_request_gets_an_error_and_the_daemon_survives() {
     sigterm(&daemon);
     let exit = wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");
     assert_eq!(exit.code(), Some(0), "graceful shutdown exits 0");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A request line past the 64 KiB cap is answered with an `error` event
@@ -177,7 +188,6 @@ fn oversized_request_line_gets_an_error_and_the_daemon_survives() {
     sigterm(&daemon);
     let exit = wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");
     assert_eq!(exit.code(), Some(0), "graceful shutdown exits 0");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -220,7 +230,6 @@ fn sigterm_drains_in_flight_jobs_and_exits_zero() {
     let wal_text = std::fs::read_to_string(&wal).unwrap();
     assert!(wal_text.is_empty(), "no live jobs remain in the compacted WAL: {wal_text}");
     assert!(dir.join("serve-metrics.json").exists(), "serve.* metrics are flushed");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A `--sequential` job completes as soon as its confidence sequence
@@ -257,7 +266,6 @@ fn sequential_submit_stops_early_and_reports_the_stop_trace() {
     );
     sigterm(&daemon);
     wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The acceptance scenario: `kill -9` mid-job, restart, and the
@@ -293,8 +301,8 @@ fn kill_nine_recovery_is_bit_identical_to_an_uninterrupted_run() {
         Duration::from_secs(60),
         "the first trial to reach the journal",
     );
-    daemon_a.kill().expect("kill -9");
-    daemon_a.wait().expect("reaped");
+    daemon_a.child.kill().expect("kill -9");
+    daemon_a.child.wait().expect("reaped");
 
     // Restart on the same state: the WAL re-enqueues the job and the
     // trial journal resumes it; wait for the terminal WAL event.
@@ -336,6 +344,4 @@ fn kill_nine_recovery_is_bit_identical_to_an_uninterrupted_run() {
 
     assert_eq!(verdict_a, verdict_b, "recovered and uninterrupted verdicts must be bit-identical");
     assert!(verdict_a.contains("\"quarantined_trials\":[{"), "the wedged trial is quarantined");
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
 }

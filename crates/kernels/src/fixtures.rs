@@ -96,7 +96,7 @@ pub const FIXTURE_LABELS: [u64; 4] = [0x05, 0x1a, 0x27, 0x38];
 /// Runs a fixture dynamically: `trials` iterations with secret labels
 /// cycling through [`FIXTURE_LABELS`] (rotated by `seed`).
 ///
-/// Unlike the Table V primitive drivers there is no warm-up drain — for
+/// Unlike the Table V primitive drivers there are no warm-up trials — for
 /// the transient fixtures the first mispredict in each fresh predictor
 /// history context *is* the signal, so every iteration is kept.
 pub fn run_fixture(

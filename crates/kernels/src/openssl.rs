@@ -58,9 +58,10 @@ pub struct PrimitiveOutcome {
     pub functional_ok: bool,
 }
 
-/// Number of leading trials run to warm caches, TLB and predictors; their
-/// iterations are dropped from the returned traces (cold-start snapshots
-/// are systematically different and would be spurious "features").
+/// Number of leading trials run to warm caches, TLB and predictors. They
+/// run untraced ([`TraceConfig::warmup_iterations`]), so the returned
+/// traces hold only the measured trials (cold-start snapshots are
+/// systematically different and would be spurious "features").
 pub const WARMUP_TRIALS: usize = 8;
 
 // --- reference helpers ----------------------------------------------------
@@ -275,8 +276,10 @@ impl Primitive {
         }
     }
 
-    /// Runs `trials` labeled trials and verifies outputs against the
-    /// reference model.
+    /// Runs [`WARMUP_TRIALS`] untraced warm-up trials, then `trials`
+    /// labeled trials, and verifies every output against the reference
+    /// model. `trace.warmup_iterations` is overridden with
+    /// [`WARMUP_TRIALS`].
     ///
     /// # Errors
     ///
@@ -288,6 +291,7 @@ impl Primitive {
         seed: u64,
         trace: TraceConfig,
     ) -> Result<PrimitiveOutcome, ModexpError> {
+        let trace = TraceConfig { warmup_iterations: WARMUP_TRIALS, ..trace };
         match &self.kind {
             Kind::Scalar { gen, reference, .. } => {
                 self.run_scalar(config, trials, seed, trace, *gen, *reference)
@@ -325,8 +329,7 @@ impl Primitive {
         }
         let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 20_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
+        let result = machine.run(500_000 + total as u64 * 20_000)?;
         let outputs = machine.take_outputs();
         Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
     }
@@ -355,8 +358,7 @@ impl Primitive {
         }
         let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 30_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
+        let result = machine.run(500_000 + total as u64 * 30_000)?;
         let outputs = machine.take_outputs();
         Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
     }
@@ -387,8 +389,7 @@ impl Primitive {
         }
         let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 30_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
+        let result = machine.run(500_000 + total as u64 * 30_000)?;
         let outputs = machine.take_outputs();
         Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
     }
@@ -414,8 +415,7 @@ impl Primitive {
         }
         let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 60_000)?;
-        result.iterations.drain(..WARMUP_TRIALS);
+        let result = machine.run(500_000 + total as u64 * 60_000)?;
         let outputs = machine.take_outputs();
         Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
     }

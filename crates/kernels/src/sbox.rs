@@ -34,7 +34,8 @@ pub struct SboxKernel {
     imp: SboxImpl,
 }
 
-/// Warmup trials excluded from the returned iterations.
+/// Leading warm-up trials, run untraced
+/// ([`TraceConfig::warmup_iterations`]).
 const WARMUP: usize = 8;
 
 impl SboxKernel {
@@ -95,11 +96,11 @@ impl SboxKernel {
             words.push((idx / 64) as u64); // label = cache line touched
             expected.push(table[idx as usize] as u64);
         }
+        let trace = TraceConfig { warmup_iterations: WARMUP, ..trace };
         let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.write_mem(program.symbol_addr("sbox"), &table);
         machine.push_inputs(words);
-        let mut result = machine.run(500_000 + total as u64 * 60_000)?;
-        result.iterations.drain(..WARMUP);
+        let result = machine.run(500_000 + total as u64 * 60_000)?;
         let outputs = machine.take_outputs();
         Ok((result, outputs == expected))
     }

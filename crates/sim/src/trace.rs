@@ -151,6 +151,12 @@ pub struct TraceConfig {
     /// `faults: None` — drops are replayed from `D` records and flips
     /// are already baked into the logged values.
     pub faults: Option<FaultConfig>,
+    /// Number of leading `ITER_START` markers that open no iteration:
+    /// their cycles are simulated but never sampled, so no row is
+    /// captured, faulted, folded or logged for them and
+    /// [`Tracer::iterations`] starts at the first kept iteration. Used
+    /// for warm-up trials whose snapshots the analysis discards.
+    pub warmup_iterations: usize,
 }
 
 /// The snapshot hasher: SipHash-1-3 under the fixed key documented on
@@ -244,20 +250,23 @@ impl Hasher for MulShift {
     }
 }
 
-/// One unit's fold for the open iteration (see module docs).
+/// One unit's fold state. The tracer keeps one per unit for its whole
+/// life: [`UnitBuilder::finish`] hands out the open iteration's summary
+/// and resets the builder in place, keeping its buffers.
 struct UnitBuilder {
     /// Absorbs `(row digest, run length)` as each run of equal rows closes.
     hasher: SipHasher,
     /// Absorbs the row digest of each run.
     timeless_hasher: SipHasher,
-    /// The current run's row; `None` before the first row.
-    last_row: Option<Vec<u64>>,
+    /// The current run's row; meaningful only while `run > 0`.
+    last_row: Vec<u64>,
     /// Row digest of `last_row`.
     last_digest: u64,
-    /// Length of the current run (0 before the first row).
+    /// Length of the current run (0 before the iteration's first row).
     run: u64,
     /// Membership index over `order` (the feature set is built from
-    /// `order` when the iteration closes).
+    /// `order` when the iteration closes). Holds every non-zero value of
+    /// `last_row` while `run > 0`.
     seen: HashSet<u64, BuildHasherDefault<MulShift>>,
     order: Vec<u64>,
     rows: Option<Vec<Vec<u64>>>,
@@ -269,7 +278,7 @@ impl UnitBuilder {
         UnitBuilder {
             hasher: snapshot_hasher(),
             timeless_hasher: snapshot_hasher(),
-            last_row: None,
+            last_row: Vec::new(),
             last_digest: 0,
             run: 0,
             seen: HashSet::default(),
@@ -289,9 +298,19 @@ impl UnitBuilder {
         // An unchanged row only extends the run: its values are already
         // features (they were recorded when this row content first
         // appeared).
-        if self.last_row.as_deref() == Some(row) {
+        if self.run > 0 && self.last_row == row {
             self.run += 1;
             return 0;
+        }
+        // Every non-zero value of the previous row is already a feature,
+        // so values carried over from it need no membership check: first
+        // the prefix that continues it shifted left (queues retiring from
+        // the head), then the positions whose value is unchanged.
+        let prev: &[u64] = if self.run > 0 { &self.last_row } else { &[] };
+        for (i, &v) in row.iter().enumerate().skip(shifted_prefix(prev, row)) {
+            if v != 0 && prev.get(i) != Some(&v) && self.seen.insert(v) {
+                self.order.push(v);
+            }
         }
         self.close_run();
         let mut digest = snapshot_hasher();
@@ -300,18 +319,8 @@ impl UnitBuilder {
         self.last_digest = digest.finish();
         self.timeless_hasher.write_u64(self.last_digest);
         self.run = 1;
-        // Every value of the previous row is already a feature, so only
-        // positions whose value changed need a membership check.
-        let prev = self.last_row.as_deref().unwrap_or(&[]);
-        for (i, &v) in row.iter().enumerate() {
-            if v != 0 && prev.get(i) != Some(&v) && self.seen.insert(v) {
-                self.order.push(v);
-            }
-        }
-        match &mut self.last_row {
-            Some(last) if last.len() == row.len() => last.copy_from_slice(row),
-            last => *last = Some(row.to_vec()),
-        }
+        self.last_row.clear();
+        self.last_row.extend_from_slice(row);
         // The row's length word and values, its digest into the timeless
         // hash, and the (digest, run length) pair its run closes with.
         8 * (row.len() as u64 + 1) + 24
@@ -325,16 +334,36 @@ impl UnitBuilder {
         }
     }
 
-    fn finish(mut self) -> UnitTrace {
+    /// Closes the iteration: returns its summary and resets the builder
+    /// to a fresh fold, keeping its buffers.
+    fn finish(&mut self) -> UnitTrace {
         self.close_run();
+        self.run = 0;
+        self.seen.clear();
+        let order = std::mem::take(&mut self.order);
         UnitTrace {
-            hash: self.hasher.finish(),
-            hash_timeless: self.timeless_hasher.finish(),
-            features: self.order.iter().copied().collect(),
-            order: self.order,
-            rows: self.rows,
-            cycle_rows: self.cycle_rows,
+            hash: std::mem::replace(&mut self.hasher, snapshot_hasher()).finish(),
+            hash_timeless: std::mem::replace(&mut self.timeless_hasher, snapshot_hasher()).finish(),
+            features: order.iter().copied().collect(),
+            order,
+            rows: self.rows.as_mut().map(std::mem::take),
+            cycle_rows: std::mem::take(&mut self.cycle_rows),
         }
+    }
+}
+
+/// Length of the prefix of `row` that continues `prev` from its first
+/// entry `k >= 1` equal to `row[0]`, i.e. the part of a queue row that
+/// only moved left as head entries retired; 0 when the head value did
+/// not change or does not occur in `prev`.
+fn shifted_prefix(prev: &[u64], row: &[u64]) -> usize {
+    let Some(&head) = row.first() else { return 0 };
+    if prev.first() == Some(&head) {
+        return 0;
+    }
+    match prev.iter().skip(1).position(|&v| v == head) {
+        Some(k) => row.iter().zip(&prev[k + 1..]).take_while(|(a, b)| a == b).count(),
+        None => 0,
     }
 }
 
@@ -343,7 +372,6 @@ struct InProgress {
     start_cycle: u64,
     last_cycle: u64,
     dropped: u64,
-    units: Vec<UnitBuilder>,
 }
 
 /// Collects per-cycle unit rows into labeled [`IterationTrace`]s,
@@ -353,6 +381,12 @@ pub struct Tracer {
     cfg: TraceConfig,
     in_scr: bool,
     current: Option<InProgress>,
+    /// `ITER_START` markers still to pass over untraced
+    /// ([`TraceConfig::warmup_iterations`]).
+    warmup_left: usize,
+    /// Per-unit fold state, indexed by [`UnitId::index`]; reset in place
+    /// as each iteration closes.
+    units: Vec<UnitBuilder>,
     /// Completed iterations in commit order.
     pub iterations: Vec<IterationTrace>,
     /// Unit rows sampled so far (telemetry volume counter).
@@ -390,6 +424,8 @@ impl Tracer {
             cfg,
             in_scr: false,
             current: None,
+            warmup_left: cfg.warmup_iterations,
+            units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(&cfg)).collect(),
             iterations: Vec::new(),
             rows_sampled: 0,
             hash_bytes: 0,
@@ -436,17 +472,18 @@ impl Tracer {
     }
 
     /// Handles an `ITER_START` marker commit. An unterminated previous
-    /// iteration is closed first.
+    /// iteration is closed first. The first
+    /// [`TraceConfig::warmup_iterations`] markers open nothing and are
+    /// not logged.
     pub fn iter_start(&mut self, cycle: u64, label: u64) {
         self.iter_end(cycle);
+        if self.warmup_left > 0 {
+            self.warmup_left -= 1;
+            return;
+        }
         self.current_pipeline = PipelineStats::default();
-        self.current = Some(InProgress {
-            label,
-            start_cycle: cycle,
-            last_cycle: cycle,
-            dropped: 0,
-            units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(&self.cfg)).collect(),
-        });
+        self.current =
+            Some(InProgress { label, start_cycle: cycle, last_cycle: cycle, dropped: 0 });
         if let Some(log) = &mut self.log {
             log.push_str(&format!("M ITER_START {cycle} {label}\n"));
         }
@@ -478,7 +515,7 @@ impl Tracer {
                 end_cycle: cur.last_cycle,
                 dropped_cycles: cur.dropped,
                 pipeline: std::mem::take(&mut self.current_pipeline),
-                units: cur.units.into_iter().map(UnitBuilder::finish).collect(),
+                units: self.units.iter_mut().map(UnitBuilder::finish).collect(),
             });
             if let Some(log) = &mut self.log {
                 log.push_str(&format!("M ITER_END {cycle}\n"));
@@ -497,14 +534,14 @@ impl Tracer {
         }
         let flipped = self.flip_row(unit, row);
         let row: &[u64] = flipped.as_deref().unwrap_or(row);
-        let cur = self.current.as_mut().expect("checked above");
         self.rows_sampled += 1;
-        self.hash_bytes += cur.units[unit.index()].fold_row(row);
+        self.hash_bytes += self.units[unit.index()].fold_row(row);
         if self.cfg.keep_matrices {
             self.matrix_cells += row.len() as u64;
         }
         if let Some(log) = &mut self.log {
-            log.push_str(&format!("C {} {}", cur.last_cycle, unit.name()));
+            let cycle = self.current.as_ref().expect("checked above").last_cycle;
+            log.push_str(&format!("C {cycle} {}", unit.name()));
             for v in row {
                 log.push_str(&format!(" {v:x}"));
             }
@@ -589,14 +626,15 @@ impl std::error::Error for ParseLogError {}
 
 /// Parses a text trace log back into [`IterationTrace`]s (the MicroSampler
 /// Parser of paper step ②). Produces summaries identical to the ones the
-/// live [`Tracer`] builds.
+/// live [`Tracer`] builds. `cfg.warmup_iterations` is ignored: a log holds
+/// only the iterations its tracer kept.
 ///
 /// # Errors
 ///
 /// Returns [`ParseLogError`] on malformed lines.
 pub fn parse_text_log(text: &str, cfg: TraceConfig) -> Result<Vec<IterationTrace>, ParseLogError> {
     let _span = microsampler_obs::span::span("parse");
-    let mut tracer = Tracer::new(cfg);
+    let mut tracer = Tracer::new(TraceConfig { warmup_iterations: 0, ..cfg });
     for (idx, line) in text.lines().enumerate() {
         let lno = idx as u32 + 1;
         let err = |m: String| ParseLogError { line: lno, message: m };
@@ -745,6 +783,16 @@ mod tests {
         out
     }
 
+    /// `prev` with its first `shift` values retired, `values` appended and
+    /// the result zero-padded or cut to `prev`'s width, like a queue row
+    /// whose head entries committed.
+    fn shifted(prev: &[u64], shift: usize, values: &[u64]) -> Vec<u64> {
+        let mut row = prev[shift.min(prev.len())..].to_vec();
+        row.extend_from_slice(values);
+        row.resize(prev.len(), 0);
+        row
+    }
+
     /// Rows for the equivalence proptest: four short rows, two of which
     /// share their first word and two of which are zero-padded versions of
     /// each other, so equal and near-equal matrices are common.
@@ -752,24 +800,48 @@ mod tests {
 
     proptest::proptest! {
         /// Rows over a small alphabet (zeros, values repeated across and
-        /// within rows), of changing widths, with exact repeats of the
-        /// previous row mixed in.
+        /// within rows), of changing widths, with exact repeats and
+        /// shifted copies of the previous row mixed in.
         #[test]
         fn fold_equals_run_length_reference(
             steps in proptest::collection::vec(
-                (proptest::prelude::any::<bool>(), proptest::collection::vec(0u64..6, 0..6)),
+                (0u8..3, 1usize..4, proptest::collection::vec(0u64..6, 0..6)),
                 0..48,
             ),
         ) {
             let mut rows: Vec<Vec<u64>> = Vec::new();
-            for (repeat, values) in steps {
-                let row = match rows.last() {
-                    Some(prev) if repeat => prev.clone(),
+            for (kind, shift, values) in steps {
+                let row = match (kind, rows.last()) {
+                    (1, Some(prev)) => prev.clone(),
+                    (2, Some(prev)) => shifted(prev, shift, &values),
                     _ => values,
                 };
                 rows.push(row);
             }
             proptest::prop_assert_eq!(fold(&rows), reference_fold(&rows));
+        }
+
+        /// One builder folding matrix after matrix, finished between
+        /// them, summarises each exactly as the reference does: nothing
+        /// of one iteration's fold (run, row, features, kept rows) leaks
+        /// into the next. Tiny rows make a matrix that starts with the
+        /// previous one's last row common.
+        #[test]
+        fn reused_builder_folds_each_matrix_afresh(
+            matrices in proptest::collection::vec(
+                proptest::collection::vec(proptest::collection::vec(0u64..3, 0..3), 0..6),
+                0..6,
+            ),
+        ) {
+            let cfg = TraceConfig { keep_matrices: true, ..TraceConfig::default() };
+            let mut builder = UnitBuilder::new(&cfg);
+            for rows in &matrices {
+                for row in rows {
+                    builder.fold_row(row);
+                }
+                let expect = UnitTrace { rows: Some(rows.clone()), ..reference_fold(rows) };
+                proptest::prop_assert_eq!(builder.finish(), expect);
+            }
         }
 
         /// The fold's two hashes partition matrices exactly as equality
@@ -898,10 +970,15 @@ mod tests {
     }
 
     fn drive_faulted(faults: Option<FaultConfig>) -> Tracer {
-        let mut t = Tracer::new(TraceConfig { faults, ..TraceConfig::default() });
+        drive(TraceConfig { faults, ..TraceConfig::default() })
+    }
+
+    /// Three marked iterations of 24 sampled cycles each, logged.
+    fn drive(cfg: TraceConfig) -> Tracer {
+        let mut t = Tracer::new(cfg);
         t.enable_log();
         t.scr_start(0);
-        for i in 0..2u64 {
+        for i in 0..3u64 {
             t.iter_start(i * 100, i);
             for c in 0..24u64 {
                 t.begin_cycle(i * 100 + 1 + c);
@@ -910,7 +987,7 @@ mod tests {
             }
             t.iter_end(i * 100 + 30);
         }
-        t.scr_end(250);
+        t.scr_end(350);
         t
     }
 
@@ -953,6 +1030,22 @@ mod tests {
         assert_eq!(parsed, faulted.iterations);
         let parsed_dropped: u64 = parsed.iter().map(|i| i.dropped_cycles).sum();
         assert_eq!(parsed_dropped, faulted.dropped_cycles);
+    }
+
+    /// Warm-up markers are neither traced nor logged, so a log written
+    /// with warm-up parses back to the kept iterations under any
+    /// `warmup_iterations`, and those equal the fully traced run's tail.
+    #[test]
+    fn warmup_log_round_trips_to_the_kept_iterations() {
+        let faults = Some(heavy_faults());
+        let warm = drive(TraceConfig { faults, warmup_iterations: 2, ..TraceConfig::default() });
+        assert_eq!(warm.iterations, drive_faulted(faults).iterations[2..]);
+        let log = warm.log_text().unwrap();
+        assert_eq!(log.matches("M ITER_START").count(), 1, "warm-up markers are not logged");
+        for warmup_iterations in [0, 2] {
+            let cfg = TraceConfig { warmup_iterations, ..TraceConfig::default() };
+            assert_eq!(parse_text_log(log, cfg).unwrap(), warm.iterations);
+        }
     }
 
     #[test]
@@ -1079,7 +1172,11 @@ mod tests {
             let mut text = lines.join("\n");
             cut(&mut text, end);
             let line_count = text.lines().count() as u32;
-            let faulted = TraceConfig { keep_matrices: true, faults: Some(heavy_faults()) };
+            let faulted = TraceConfig {
+                keep_matrices: true,
+                faults: Some(heavy_faults()),
+                ..TraceConfig::default()
+            };
             for cfg in [TraceConfig::default(), faulted] {
                 match std::panic::catch_unwind(|| parse_text_log(&text, cfg)) {
                     Ok(Ok(_)) => {}

@@ -119,6 +119,36 @@ fn faulted_run_is_reproducible() {
     assert!(first.2 > 0, "the noise rates must actually inject faults");
 }
 
+/// Warm-up iterations run untraced, and the kept iterations come out
+/// exactly as a fully traced run's tail: the drop and flip schedule
+/// depends on the cycle and unit, not on what was captured before.
+#[test]
+fn untraced_warmup_keeps_the_traced_tail_exactly() {
+    let faults = FaultConfig { drop_row_per_64k: 6000, bitflip_per_64k: 6000, ..noisy_faults() };
+    let run = |warmup_iterations| {
+        let trace = TraceConfig { faults: Some(faults), warmup_iterations, keep_matrices: true };
+        let config = CoreConfig::mega_boom().with_faults(faults);
+        Machine::with_trace_config(config, &marked_program(), trace)
+            .run(2_000_000)
+            .expect("faulted run completes")
+    };
+    let full = run(0);
+    assert_eq!(full.iterations.len(), 6);
+    let kept = &full.iterations[3..];
+    assert!(kept.iter().any(|i| i.dropped_cycles > 0), "drops must fire in the kept iterations");
+    for k in [1, 3, 6] {
+        let warm = run(k);
+        assert_eq!(warm.iterations, full.iterations[k..], "warmup_iterations = {k}");
+        assert_eq!((warm.cycles, warm.pipeline), (full.cycles, full.pipeline));
+        assert_eq!(warm.fault_counts.spurious_squashes, full.fault_counts.spurious_squashes);
+        let kept_drops: u64 = warm.iterations.iter().map(|i| i.dropped_cycles).sum();
+        assert_eq!(warm.fault_counts.dropped_cycles, kept_drops, "warm-up drops are not counted");
+        let flips = warm.fault_counts.bit_flips;
+        assert!(flips <= full.fault_counts.bit_flips);
+        assert_eq!(flips == 0, k == 6, "flips fire in the kept iterations, and only there");
+    }
+}
+
 #[test]
 fn injected_noise_preserves_architectural_results() {
     let (clean_exit, clean_iters, clean_faults) = run_faulted(None);
