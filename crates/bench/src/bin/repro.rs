@@ -124,6 +124,8 @@ fn main() -> ExitCode {
     let mut json_dir: Option<std::path::PathBuf> = None;
     let mut sweep_opts = sweep::SweepOptions::default();
     let mut sweep_requested = false;
+    // The journal `--resume` named, decoded once when the flag is read.
+    let mut resumed: Option<(std::path::PathBuf, sweep::JournalState)> = None;
     let mut i = 0;
     while i < args.len() {
         let take_num = |i: &mut usize| -> usize {
@@ -177,8 +179,9 @@ fn main() -> ExitCode {
                 let path = take_path(&mut i, "--resume");
                 // Validate up front: a missing or corrupt journal must be
                 // a usage error, not a silently-ignored restart.
-                if let Err(e) = sweep::load_journal(&path) {
-                    fail(&format!("cannot resume: {e}"));
+                match sweep::load_journal(&path) {
+                    Ok(state) => resumed = Some((path.clone(), state)),
+                    Err(e) => fail(&format!("cannot resume: {e}")),
                 }
                 sweep_opts.journal = Some(path);
                 sweep_opts.resume = true;
@@ -247,7 +250,12 @@ fn main() -> ExitCode {
     // arg loop so a later `--faults` cannot dodge it.
     if sweep_opts.resume {
         if let Some(path) = &sweep_opts.journal {
-            if let Ok(state) = sweep::load_journal(path) {
+            // A later `--journal` may name another file than `--resume` did.
+            let state = match resumed.take() {
+                Some((resumed_path, state)) if resumed_path == *path => Ok(state),
+                _ => sweep::load_journal(path),
+            };
+            if let Ok(state) = state {
                 if let Some(why) = state.mismatch(&sweep::options_config_hash(&sweep_opts)) {
                     fail(&format!(
                         "cannot resume {}: {why}; restore the original --faults spec or \

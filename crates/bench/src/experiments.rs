@@ -471,8 +471,8 @@ pub fn fig10(scale: &Scale) -> Fig10 {
     }
     let mut patterns = CallPatterns::default();
     for it in &result.iterations {
-        let f = &it.unit(UnitId::RobPc).features;
-        match (f.contains(&equal_pc), f.contains(&inequal_pc)) {
+        let pcs = &it.unit(UnitId::RobPc).order;
+        match (pcs.contains(&equal_pc), pcs.contains(&inequal_pc)) {
             (true, true) => patterns.both += 1,
             (true, false) => patterns.equal_only += 1,
             (false, true) => patterns.inequal_only += 1,

@@ -21,6 +21,17 @@ use std::time::Duration;
 /// Schema tag on every WAL line.
 pub const WAL_SCHEMA: &str = "microsampler-serve-job-v1";
 
+/// Most keys (one trial each) a job may ask for. A sweep allocates all of
+/// its keys before the first trial runs, so without a cap one request
+/// line could ask for terabytes and abort the daemon, and the WAL would
+/// re-enqueue it at every restart.
+pub const MAX_KEYS: usize = 65_536;
+
+/// Longest key, in bytes, a job may ask for (8,192 iterations per trial;
+/// the paper's 1024-bit keys are 128 bytes). It also keeps the per-trial
+/// cycle budget far from overflow.
+pub const MAX_KEY_BYTES: usize = 1_024;
+
 /// An audit job as submitted over the socket: which kernel to sweep,
 /// under which core, at what trial budget.
 ///
@@ -106,7 +117,8 @@ impl JobSpec {
 
     /// Parses a spec from a submit request or WAL line. Missing optional
     /// fields take the [`Default`] values; `kernel`, `config`, `keys`
-    /// and `key_bytes` are validated.
+    /// and `key_bytes` are validated, the sizes against [`MAX_KEYS`] and
+    /// [`MAX_KEY_BYTES`].
     ///
     /// # Errors
     ///
@@ -142,6 +154,11 @@ impl JobSpec {
         }
         if spec.keys == 0 || spec.key_bytes == 0 {
             return Err("keys and key_bytes must be at least 1".to_string());
+        }
+        if spec.keys > MAX_KEYS || spec.key_bytes > MAX_KEY_BYTES {
+            return Err(format!(
+                "keys must be at most {MAX_KEYS} and key_bytes at most {MAX_KEY_BYTES}"
+            ));
         }
         spec.core_config()?;
         Ok(spec)
@@ -462,6 +479,138 @@ mod tests {
             .unwrap_err()
             .contains("mega or small"));
         assert!(JobSpec::from_json(&Value::object().field("keys", 0u64).build()).is_err());
+    }
+
+    #[test]
+    fn spec_sizes_are_capped() {
+        let sized = |keys: u64, key_bytes: u64| {
+            JobSpec::from_json(
+                &Value::object().field("keys", keys).field("key_bytes", key_bytes).build(),
+            )
+        };
+        let (keys, key_bytes) = (MAX_KEYS as u64, MAX_KEY_BYTES as u64);
+        let spec = sized(keys, key_bytes).expect("the caps themselves are accepted");
+        assert_eq!((spec.keys, spec.key_bytes), (MAX_KEYS, MAX_KEY_BYTES));
+        for (keys, key_bytes) in [(keys + 1, 1), (1, key_bytes + 1), (1 << 40, 1), (1, u64::MAX)] {
+            let e = sized(keys, key_bytes).unwrap_err();
+            assert!(e.contains("at most 65536") && e.contains("at most 1024"), "{e}");
+        }
+    }
+
+    /// A submit request with every spec field set, as `repro submit`
+    /// sends it.
+    fn real_request() -> String {
+        let spec = JobSpec {
+            kernel: ModexpVariant::V1MicroarchVuln,
+            config: "small".into(),
+            fast_bypass: true,
+            keys: 7,
+            key_bytes: 2,
+            seed: 9,
+            max_cycles: Some(50_000),
+            wedge_trial: Some(3),
+            sequential: true,
+        };
+        let mut fields =
+            vec![("op".to_string(), "submit".into()), ("client".to_string(), "ci".into())];
+        if let Value::Object(spec_fields) = spec.to_json() {
+            fields.extend(spec_fields);
+        }
+        Value::Object(fields).render_compact()
+    }
+
+    /// Puts `field` first in the request's outermost object, so it wins
+    /// over a later field of the same name.
+    fn prepend_field(text: &mut String, field: &str) {
+        if let Some(open) = text.find('{') {
+            text.insert_str(open + 1, &format!("{field},"));
+        }
+    }
+
+    const SPEC_KEYS: [&str; 9] = [
+        "kernel",
+        "config",
+        "fast_bypass",
+        "keys",
+        "key_bytes",
+        "seed",
+        "max_cycles",
+        "wedge",
+        "sequential",
+    ];
+    const ODD_VALUES: [&str; 14] = [
+        "0",
+        "1",
+        "65536",
+        "65537",
+        "1024",
+        "1025",
+        "1099511627776",
+        "-1",
+        "1.5",
+        "\"x\"",
+        "null",
+        "[]",
+        "{}",
+        "\"ME-V2-Safe\"",
+    ];
+    const BAD_STRINGS: [&str; 6] =
+        [r#""\q""#, r#""\ud800""#, r#""\udc00x""#, r#""\u12""#, r#""\ud83e\u0041""#, r#""\u+041""#];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// A real request truncated, with fields repeated in front of it,
+        /// values nested near the 128-level cap, 30-digit numbers, and bad
+        /// escapes or lone surrogates, parses to an error or to a spec
+        /// within the caps — `json::parse` and `JobSpec::from_json` never
+        /// panic.
+        #[test]
+        fn request_parsing_never_panics_on_mangled_requests(
+            edits in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                0..8,
+            ),
+        ) {
+            let mut text = real_request();
+            for (op, at, arg) in edits {
+                let key = SPEC_KEYS[arg % SPEC_KEYS.len()];
+                match op {
+                    0 => {
+                        let mut len = at % (text.len() + 1);
+                        while !text.is_char_boundary(len) {
+                            len -= 1;
+                        }
+                        text.truncate(len);
+                    }
+                    1 => prepend_field(&mut text, &format!("\"{key}\":{}", ODD_VALUES[at % ODD_VALUES.len()])),
+                    2 => {
+                        let depth = 120 + at % 16;
+                        let nested = "[".repeat(depth) + "1" + &"]".repeat(depth);
+                        prepend_field(&mut text, &format!("\"{key}\":{nested}"));
+                    }
+                    3 => {
+                        let sign = if at % 2 == 0 { "" } else { "-" };
+                        prepend_field(&mut text, &format!("\"{key}\":{sign}123456789012345678901234567890"));
+                    }
+                    _ => {
+                        let bad = BAD_STRINGS[at % BAD_STRINGS.len()];
+                        prepend_field(&mut text, &format!("\"{key}\":{bad}"));
+                    }
+                }
+            }
+            let got = std::panic::catch_unwind(|| {
+                microsampler_obs::json::parse(&text).ok().map(|v| JobSpec::from_json(&v))
+            });
+            match got {
+                Ok(Some(Ok(spec))) => {
+                    proptest::prop_assert!((1..=MAX_KEYS).contains(&spec.keys), "{text}");
+                    proptest::prop_assert!((1..=MAX_KEY_BYTES).contains(&spec.key_bytes), "{text}");
+                    proptest::prop_assert!(spec.core_config().is_ok(), "{text}");
+                }
+                Ok(_) => {}
+                Err(_) => panic!("request parsing panicked on:\n{text}"),
+            }
+        }
     }
 
     #[test]

@@ -104,6 +104,42 @@ fn journal_resume_reruns_only_the_missing_trials() {
     assert_eq!(third.iterations, clean.iterations);
 }
 
+/// `tests/data/trial-journal-v1.jsonl` was written by the build before
+/// journal records were encoded directly (CI's fault-injection run: `repro
+/// fig7 --keys 3 --key-bytes 1 --threads 2 --retries 1 --faults
+/// seed=7,squash=400,evict=400,drop=200,wedge=0 --journal FILE`). It still
+/// resumes: both completed trials are restored bit-identically, and the
+/// quarantined wedged trial re-runs.
+#[test]
+fn journal_from_the_tree_encoder_still_resumes() {
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
+    let path = tmp("tree-encoder");
+    let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/trial-journal-v1.jsonl");
+    std::fs::copy(data, &path).unwrap();
+    let faults = Some(FaultConfig {
+        seed: 7,
+        squash_per_64k: 400,
+        evict_per_64k: 400,
+        drop_row_per_64k: 200,
+        ..FaultConfig::default()
+    });
+    sweep::reset_events();
+    let opts = SweepOptions {
+        faults,
+        journal: Some(path.clone()),
+        resume: true,
+        isolate: true,
+        ..SweepOptions::default()
+    };
+    let resumed = sweep_with(&opts, 3, 42);
+    std::fs::remove_file(&path).ok();
+    assert_eq!((resumed.restored, resumed.completed), (2, 1), "{:?}", resumed.quarantined);
+    let fresh =
+        sweep_with(&SweepOptions { faults, isolate: true, ..SweepOptions::default() }, 3, 42);
+    sweep::reset_events();
+    assert_eq!(resumed.iterations, fresh.iterations);
+}
+
 #[test]
 fn injected_fault_schedules_are_thread_count_invariant() {
     let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());

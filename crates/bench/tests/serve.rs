@@ -170,6 +170,23 @@ fn deeply_nested_request_gets_an_error_and_the_daemon_survives() {
     assert_eq!(exit.code(), Some(0), "graceful shutdown exits 0");
 }
 
+/// A job asking for 2^40 keys, which a sweep would try to allocate up
+/// front, is refused as a bad job spec before anything is queued, and the
+/// daemon keeps serving.
+#[test]
+fn oversized_job_spec_gets_an_error_and_the_daemon_survives() {
+    let dir = tmp_dir("huge-spec");
+    let (mut daemon, socket) = start_daemon(&dir, &[]);
+    let request = format!(r#"{{"op":"submit","kernel":"ME-V2-Safe","keys":{}}}"#, 1u64 << 40);
+    let (_s1, _r1, reply) = raw_request(&socket, &request);
+    assert!(reply.contains("\"event\":\"error\"") && reply.contains("bad job spec"), "{reply}");
+    let (_s2, _r2, status) = raw_request(&socket, "{\"op\":\"status\"}");
+    assert!(status.contains("\"event\":\"status\""), "{status}");
+    sigterm(&daemon);
+    let exit = wait_exit(&mut daemon, Duration::from_secs(60), "the daemon");
+    assert_eq!(exit.code(), Some(0), "graceful shutdown exits 0");
+}
+
 /// A request line past the 64 KiB cap is answered with an `error` event
 /// naming the cap, the connection closes, and the daemon keeps serving.
 #[test]

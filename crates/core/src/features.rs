@@ -44,7 +44,7 @@ pub fn feature_uniqueness(iterations: &[IterationTrace], unit: UnitId) -> Unique
     let _span = microsampler_obs::span::span("uniqueness");
     let mut class_features: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for it in iterations {
-        class_features.entry(it.label).or_default().extend(&it.unit(unit).features);
+        class_features.entry(it.label).or_default().extend(&it.unit(unit).order);
     }
     let mut shared: Option<BTreeSet<u64>> = None;
     for feats in class_features.values() {

@@ -212,8 +212,8 @@ mod tests {
             .iterations
             .iter()
             .filter(|it| {
-                let f = &it.unit(UnitId::RobPc).features;
-                f.contains(&equal_pc) || f.contains(&inequal_pc)
+                let pcs = &it.unit(UnitId::RobPc).order;
+                pcs.contains(&equal_pc) || pcs.contains(&inequal_pc)
             })
             .count();
         assert!(

@@ -26,8 +26,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut pattern_counts = [0usize; 4]; // neither, inequal, equal, both
     for it in &result.iterations {
-        let f = &it.unit(UnitId::RobPc).features;
-        let idx = f.contains(&inequal_pc) as usize | ((f.contains(&equal_pc) as usize) << 1);
+        let pcs = &it.unit(UnitId::RobPc).order;
+        let idx = pcs.contains(&inequal_pc) as usize | ((pcs.contains(&equal_pc) as usize) << 1);
         pattern_counts[idx] += 1;
     }
     println!("windows analyzed: {}", result.iterations.len());

@@ -473,7 +473,6 @@ macro_rules! __proptest_body {
     (@cfg $cfg:expr; $($(#[$meta:meta])* fn $name:ident($($pat:pat in $strategy:expr),+ $(,)?) $body:block)*) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 let __cfg: $crate::ProptestConfig = $cfg;
                 let mut __rng =
@@ -489,7 +488,9 @@ macro_rules! __proptest_body {
 }
 
 /// Declares property tests: each `fn name(x in strategy, ...)` becomes a
-/// `#[test]` running its body for `ProptestConfig::cases` random inputs.
+/// function running its body for `ProptestConfig::cases` random inputs.
+/// As in real proptest, the macro adds no `#[test]` of its own: write it
+/// on each function.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -533,6 +534,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
+        #[test]
         fn macro_smoke(x in 0u64..10, v in collection::vec(any::<u8>(), 0..4)) {
             prop_assert!(x < 10);
             prop_assert!(v.len() < 4);

@@ -4,10 +4,10 @@
 //! Each record runs one kernel on one core configuration at one seed and
 //! fault spec, and digests everything the tracer produced. Per iteration:
 //! label, start and end cycle, dropped cycles and `PipelineStats`; per unit:
-//! the full and timeless snapshot hashes, the feature set, the feature
-//! order and the sampled row count (plus the raw matrices for the
-//! `keep_matrices` record). Per run: cycles, committed instructions and the
-//! exit code.
+//! the full and timeless snapshot hashes, the feature set (the feature
+//! order's values, ascending), the feature order and the sampled row count
+//! (plus the raw matrices for the `keep_matrices` record). Per run: cycles,
+//! committed instructions and the exit code.
 //!
 //! Every record has two digests over those fields. The *value* digest takes
 //! each snapshot hash as it is. The *partition* digest replaces each unit's
@@ -105,8 +105,11 @@ fn digest_iteration(h: &mut SipHasher, it: &IterationTrace, hashes: &[(u64, u64)
         h.write_u64(hash);
         h.write_u64(hash_timeless);
         h.write_u64(u.cycle_rows);
-        h.write_u64(u.features.len() as u64);
-        for &f in &u.features {
+        // The feature set, in ascending order: `order`'s values sorted.
+        let mut features = u.order.clone();
+        features.sort_unstable();
+        h.write_u64(features.len() as u64);
+        for &f in &features {
             h.write_u64(f);
         }
         h.write_u64(u.order.len() as u64);
