@@ -195,6 +195,26 @@ mod tests {
     }
 
     #[test]
+    fn an_oversized_spec_in_the_wal_is_refused_naming_the_line() {
+        // A WAL written before job sizes were capped: recovery applies the
+        // same cap as a submit request, so the daemon refuses to start
+        // instead of aborting on the allocation.
+        let ok = JobHandle::new(0, "ci", JobSpec::default(), false);
+        let huge = JobHandle::new(1, "ci", JobSpec { keys: 1 << 40, ..JobSpec::default() }, false);
+        let text = format!(
+            "{}\n{}\n",
+            submitted_event(&ok).render_compact(),
+            submitted_event(&huge).render_compact()
+        );
+        let path = wal_path("oversized");
+        std::fs::write(&path, text).unwrap();
+        let got = replay_wal(&path);
+        std::fs::remove_file(&path).ok();
+        let e = got.unwrap_err();
+        assert!(e.contains("line 2: bad spec:") && e.contains("at most 65536"), "{e}");
+    }
+
+    #[test]
     fn malformed_records_name_the_line() {
         let cases = [
             ("{\"schema\":\"wrong\",\"event\":\"submitted\",\"job\":\"job-0\"}", "bad schema"),
