@@ -37,7 +37,7 @@
 
 use microsampler_core::{SeqConfig, SequentialAnalyzer, StopTrace, STOP_SCHEMA};
 use microsampler_kernels::inputs::random_keys;
-use microsampler_kernels::modexp::{self, ModexpKernel, ModexpVariant};
+use microsampler_kernels::modexp::{self, ModexpError, ModexpKernel, ModexpVariant};
 use microsampler_obs::json::{ParseError, Reader};
 use microsampler_obs::{diag, diag_warn, json, Value};
 use microsampler_par::{CancelToken, FailureClass, IsolationPolicy, RunControl, TrialOutcome};
@@ -911,6 +911,9 @@ pub fn run_modexp_sweep(
     opts: &SweepOptions,
 ) -> SweepOutcome {
     let kernel = ModexpKernel::new(variant, key_bytes);
+    // Assembled once for all keys; an assembly error fails every trial
+    // that runs.
+    let program = kernel.program().map_err(ModexpError::from);
     let keys = random_keys(n_keys, key_bytes, seed);
     let fb = if config.fast_bypass { "+fb" } else { "" };
     let trial_id = |i: usize| -> String {
@@ -967,8 +970,8 @@ pub fn run_modexp_sweep(
         cfg.faults = faults;
         let trace = TraceConfig { faults, ..TraceConfig::default() };
         let key = &keys[i];
-        let mut machine =
-            kernel.machine(cfg, key, trace).map_err(|e| format!("{}: {e}", variant.name()))?;
+        let program = program.as_ref().map_err(|e| format!("{}: {e}", variant.name()))?;
+        let mut machine = kernel.machine_from(program, cfg, key, trace);
         let budget = opts.max_cycles.unwrap_or_else(|| modexp::cycle_budget(key_bytes));
         let run = machine.run(budget).map_err(|e| format!("{}: {e}", variant.name()))?;
         let want = kernel.reference(key);

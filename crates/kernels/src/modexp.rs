@@ -196,11 +196,22 @@ impl ModexpKernel {
         key: &[u8],
         trace: TraceConfig,
     ) -> Result<Machine, ModexpError> {
+        Ok(self.machine_from(&self.program()?, config, key, trace))
+    }
+
+    /// [`ModexpKernel::machine`] from this kernel's already assembled
+    /// [`ModexpKernel::program`], so a key sweep assembles once.
+    pub fn machine_from(
+        &self,
+        program: &Program,
+        config: CoreConfig,
+        key: &[u8],
+        trace: TraceConfig,
+    ) -> Machine {
         assert_eq!(key.len(), self.key_bytes, "key length must match the kernel");
-        let program = self.program()?;
-        let mut machine = Machine::with_trace_config(config, &program, trace);
+        let mut machine = Machine::with_trace_config(config, program, trace);
         machine.write_mem(program.symbol_addr("key"), key);
-        Ok(machine)
+        machine
     }
 
     /// Reference result (golden Rust model).

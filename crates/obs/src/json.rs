@@ -594,6 +594,14 @@ impl<'a> Reader<'a> {
                 }
                 Ok(())
             }
+            Some(c) if c == b'-' || c.is_ascii_digit() => {
+                let (text, _) = self.number_token();
+                if number_is_valid(text) {
+                    Ok(())
+                } else {
+                    Err(self.err("invalid number"))
+                }
+            }
             _ => self.read_value().map(drop),
         }
     }
@@ -730,7 +738,12 @@ impl<'a> Reader<'a> {
                 self.err("invalid \\u escape")
             }
         })?;
-        let v = u16::from_str_radix(digits, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four hex digits: `u16::from_str_radix` would also take a
+        // leading `+`.
+        let v = digits
+            .bytes()
+            .try_fold(0u16, |v, b| Some(v << 4 | (b as char).to_digit(16)? as u16))
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
     }
@@ -783,6 +796,20 @@ impl<'a> Reader<'a> {
         }
         text.parse::<f64>().map(Value::Float).map_err(|_| self.err("invalid number"))
     }
+}
+
+/// Whether a token scanned by [`Reader::number_token`] is a number
+/// [`Reader::read_value`] accepts, decided without converting it: the
+/// mantissa needs a digit (before or after the point), and an exponent
+/// needs a digit after its sign. That is what the integer and `f64`
+/// parsers behind [`Reader::number_value`] accept of such a token.
+fn number_is_valid(text: &str) -> bool {
+    let (mantissa, exponent) = match text.find(['e', 'E']) {
+        Some(at) => (&text[..at], Some(&text[at + 1..])),
+        None => (text, None),
+    };
+    let has_digit = |s: &str| s.bytes().any(|b| b.is_ascii_digit());
+    has_digit(mantissa) && exponent.is_none_or(has_digit)
 }
 
 /// Builder for insertion-ordered objects.
@@ -1055,6 +1082,81 @@ mod tests {
         ];
         for (text, message) in cases {
             assert_eq!(parse(text).unwrap_err().message, message, "{text}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        // A sign is not a hex digit, although `from_str_radix` takes one;
+        // the error is at the escape's digits, byte 3.
+        for text in [r#""\u+041""#, r#""\u-041""#] {
+            let e = parse(text).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (3, "invalid \\u escape"), "{text}");
+            let e = Reader::new(text).skip_value().unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (3, "invalid \\u escape"), "{text}");
+        }
+        assert_eq!(parse(r#""\u0041\uaBcD""#).unwrap(), Value::Str("A\u{abcd}".into()));
+    }
+
+    /// Pieces of number-like tokens: signs, integer parts (beyond `u64`
+    /// too), fractions, exponents (up to 30 digits) and what may follow.
+    const INTS: [&str; 7] =
+        ["", "0", "7", "012", "18446744073709551616", "-", "99999999999999999999999999999999"];
+    const FRACS: [&str; 5] = ["", ".", ".5", ".000", ".0123456789"];
+    const EXPS: [&str; 9] = [
+        "",
+        "e",
+        "E",
+        "e+",
+        "e-",
+        "e5",
+        "E-7",
+        "e123456789012345678901234567890",
+        "e+000000000000000000000000000001",
+    ];
+    const AFTER: [&str; 6] = ["", ",", " ", "x", "]", "."];
+
+    /// The outcome of skipping or reading one value of `text`: the result
+    /// and where the reader stopped.
+    fn skip_and_read(text: &str) -> [(Result<(), ParseError>, usize); 2] {
+        let (mut skip, mut read) = (Reader::new(text), Reader::new(text));
+        let skipped = skip.skip_value();
+        let read_result = read.read_value().map(drop);
+        [(skipped, skip.pos), (read_result, read.pos)]
+    }
+
+    #[test]
+    fn skip_value_takes_the_numbers_read_value_takes() {
+        for text in ["-", "1.", "1e", "1e+", "-.5", "-e5", "1.e5", "-0", "1E400"] {
+            let [skipped, read] = skip_and_read(text);
+            assert_eq!(skipped, read, "{text}");
+        }
+        assert!(Reader::new("-").skip_value().is_err());
+        assert!(Reader::new("1e+").skip_value().is_err());
+        assert!(Reader::new("1.").skip_value().is_ok());
+        assert!(Reader::new("-.5").skip_value().is_ok());
+    }
+
+    proptest::proptest! {
+        /// `skip_value` accepts and rejects exactly what `read_value` does
+        /// on number-like tokens, with the same error, and stops at the
+        /// same byte: tokens assembled from `INTS`, `FRACS`, `EXPS` and
+        /// `AFTER`, and strings over the token alphabet.
+        #[test]
+        fn skip_value_matches_read_value_on_number_tokens(
+            parts in (0usize..INTS.len(), 0usize..FRACS.len(), 0usize..EXPS.len(), 0usize..AFTER.len()),
+            neg in proptest::prelude::any::<bool>(),
+            chars in proptest::collection::vec(0usize..15, 0..12),
+        ) {
+            let (i, f, e, a) = parts;
+            let sign = if neg { "-" } else { "" };
+            let token = format!("{sign}{}{}{}{}", INTS[i], FRACS[f], EXPS[e], AFTER[a]);
+            let alphabet = b"-0123456789.eE+";
+            let free: String = chars.iter().map(|&c| alphabet[c] as char).collect();
+            for text in [token, free] {
+                let [skipped, read] = skip_and_read(&text);
+                proptest::prop_assert_eq!(skipped, read, "{}", text);
+            }
         }
     }
 

@@ -70,6 +70,9 @@ pub struct Cache {
     lfbs: Vec<LineFillBuffer>,
     lfb_capacity: usize,
     stamp: u64,
+    /// MSHR and LFB allocations and frees so far (see
+    /// [`Cache::buffers_version`]).
+    buffer_changes: u64,
 }
 
 impl Cache {
@@ -90,6 +93,7 @@ impl Cache {
             lfbs: Vec::with_capacity(lfb_capacity),
             lfb_capacity,
             stamp: 0,
+            buffer_changes: 0,
         }
     }
 
@@ -135,6 +139,7 @@ impl Cache {
             return Access::Retry;
         }
         let ready = now + self.cfg.miss_latency;
+        self.buffer_changes += 1;
         self.mshrs.push(Mshr { line_addr: line, ready_cycle: ready });
         self.lfbs.push(LineFillBuffer {
             line_addr: line,
@@ -157,6 +162,7 @@ impl Cache {
         {
             return false;
         }
+        self.buffer_changes += 1;
         self.lfbs.push(LineFillBuffer {
             line_addr: line,
             data_digest: mem.line_digest(line, self.cfg.line_bytes),
@@ -169,6 +175,7 @@ impl Cache {
     /// Advances fills: installs lines whose fills complete at `now` and
     /// frees their MSHRs/LFBs.
     pub fn tick(&mut self, now: u64) {
+        let held = self.lfbs.len() + self.mshrs.len();
         let mut installed = Vec::new();
         self.lfbs.retain(|l| {
             if l.ready_cycle <= now {
@@ -182,6 +189,7 @@ impl Cache {
             self.install(line);
         }
         self.mshrs.retain(|m| m.ready_cycle > now);
+        self.buffer_changes += (held - self.lfbs.len() - self.mshrs.len()) as u64;
     }
 
     /// Installs a line immediately (used by fills and by the test harness's
@@ -257,6 +265,14 @@ impl Cache {
     /// In-flight line fills (the LFB-ADDR / LFB-Data trace features).
     pub fn lfb_entries(&self) -> impl Iterator<Item = &LineFillBuffer> {
         self.lfbs.iter()
+    }
+
+    /// A version of the MSHR and LFB contents: it changes whenever an MSHR
+    /// or LFB is allocated or freed, the only ways those contents change,
+    /// so an unchanged version means unchanged [`Cache::mshr_addrs`] and
+    /// [`Cache::lfb_entries`].
+    pub(crate) fn buffers_version(&self) -> u64 {
+        self.buffer_changes
     }
 
     /// True when no MSHR is free.

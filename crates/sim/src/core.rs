@@ -130,6 +130,23 @@ struct PendingSquash {
     actual_taken: bool,
 }
 
+/// Counters the SQ, LQ and EUU-MUL trace rows are versioned by. Each
+/// only grows, and every mutation of what a row shows bumps one, so the
+/// sum of a row's counters changes whenever the row may have changed.
+#[derive(Clone, Copy, Debug, Default)]
+struct RowVersions {
+    /// Store-queue entries joined or left (SQ-PC; SQ-ADDR with `stq_addrs`).
+    stq_entries: u64,
+    /// Store addresses written at issue.
+    stq_addrs: u64,
+    /// Load-queue entries joined or left (LQ-PC; LQ-ADDR with `ldq_addrs`).
+    ldq_entries: u64,
+    /// Load addresses written at issue.
+    ldq_addrs: u64,
+    /// Multiplies entering or leaving `mul_inflight` (EUU-MUL).
+    muls: u64,
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum CoreExit {
     Ecall,
@@ -170,6 +187,10 @@ pub(crate) struct Core {
     pending_fusion: Vec<FusedOp>,
     // Back end.
     rob: VecDeque<Uop>,
+    /// The ROB-PC row before padding: each uop's fused PCs, then its PC,
+    /// in ROB order. Kept in step with `rob` by the only three sites that
+    /// add or remove uops (`rename`, `commit`, `apply_squash`).
+    rob_pcs: VecDeque<u64>,
     rob_base_seq: u64,
     next_seq: u64,
     iq: Vec<u64>,
@@ -191,6 +212,9 @@ pub(crate) struct Core {
     /// Row buffer every sampled unit row is built in (no per-cycle
     /// allocation once it has grown to the widest row).
     trace_row: Vec<u64>,
+    /// Versions of the SQ, LQ and EUU-MUL rows (see
+    /// [`Tracer::repeat_unchanged`]).
+    versions: RowVersions,
     // Fault injection (None unless `cfg.faults` is set).
     fault_plan: Option<FaultPlan>,
     /// The LSU neither drains stores nor starts new loads while
@@ -263,6 +287,7 @@ impl Core {
             prf_ready_at,
             pending_fusion: Vec::new(),
             rob: VecDeque::with_capacity(cfg.rob_entries),
+            rob_pcs: VecDeque::with_capacity(cfg.rob_entries),
             rob_base_seq: 0,
             next_seq: 0,
             iq: Vec::with_capacity(cfg.iq_entries),
@@ -279,6 +304,7 @@ impl Core {
             nlp_issued: Vec::new(),
             dcache_reqs: Vec::new(),
             trace_row: Vec::new(),
+            versions: RowVersions::default(),
             fault_plan: cfg.faults.map(FaultPlan::new),
             lsu_stall_until: 0,
             fault_counts: FaultCounts::default(),
@@ -470,6 +496,7 @@ impl Core {
             // Stores must have drained their STQ slot requirements met at
             // commit time; the drain itself continues in the background.
             let head = self.rob.pop_front().expect("head exists");
+            self.rob_pcs.drain(..1 + head.fused.len());
             self.rob_base_seq = head.seq + 1;
             self.last_commit_cycle = self.cycle;
             self.stats.committed += 1 + head.fused.len() as u64;
@@ -500,6 +527,7 @@ impl Core {
                 }
                 Inst::Load { .. } if self.ldq.front().map(|e| e.seq) == Some(head.seq) => {
                     self.ldq.pop_front();
+                    self.versions.ldq_entries += 1;
                 }
                 Inst::Store { .. } => {
                     self.commit_store(head.seq);
@@ -616,6 +644,7 @@ impl Core {
         // Drop younger uops, freeing their physical registers.
         while self.rob.len() > branch_idx + 1 {
             let u = self.rob.pop_back().expect("len checked");
+            self.rob_pcs.truncate(self.rob_pcs.len() - 1 - u.fused.len());
             self.stats.squashed += 1 + u.fused.len() as u64;
             if let Some(p) = u.prd {
                 self.free_pregs.push(p);
@@ -636,9 +665,13 @@ impl Core {
         self.next_seq = ps.branch_seq + 1;
         let cutoff = ps.branch_seq;
         self.iq.retain(|&s| s <= cutoff);
+        let held = (self.ldq.len(), self.stq.len(), self.mul_inflight.len());
         self.ldq.retain(|e| e.seq <= cutoff);
         self.stq.retain(|e| e.seq <= cutoff || e.committed);
         self.mul_inflight.retain(|op| op.seq <= cutoff);
+        self.versions.ldq_entries += (held.0 - self.ldq.len()) as u64;
+        self.versions.stq_entries += (held.1 - self.stq.len()) as u64;
+        self.versions.muls += (held.2 - self.mul_inflight.len()) as u64;
         if self.div_busy.map(|op| op.seq > cutoff).unwrap_or(false) {
             self.div_busy = None;
         }
@@ -676,6 +709,7 @@ impl Core {
                 true
             }
         });
+        self.versions.muls += done.len() as u64;
         if let Some(op) = self.div_busy {
             if op.done_cycle <= now {
                 done.push(op);
@@ -776,7 +810,9 @@ impl Core {
             e.state = StState::Drained;
             e.drain_done = done + extra;
         }
+        let held = self.stq.len();
         self.stq.retain(|e| !(e.state == StState::Drained && e.drain_done <= now));
+        self.versions.stq_entries += (held - self.stq.len()) as u64;
         // Mark stores ready when address and data are both known.
         for i in 0..self.stq.len() {
             if self.stq[i].state != StState::WaitData {
@@ -960,6 +996,7 @@ impl Core {
                         done_cycle: self.cycle + latency,
                         value,
                     });
+                    self.versions.muls += 1;
                     self.rob[idx].issued = true;
                 }
                 Inst::MulDiv { op, .. } => {
@@ -990,10 +1027,12 @@ impl Core {
                         if let Some(e) = self.ldq.iter_mut().find(|e| e.seq == seq) {
                             e.addr = Some(addr);
                             e.state = LdState::Ready;
+                            self.versions.ldq_addrs += 1;
                         }
                     } else if let Some(e) = self.stq.iter_mut().find(|e| e.seq == seq) {
                         e.addr = Some(addr);
                         e.state = StState::WaitData;
+                        self.versions.stq_addrs += 1;
                     }
                 }
                 _ => {
@@ -1206,6 +1245,7 @@ impl Core {
                 fused: std::mem::take(&mut self.pending_fusion),
             };
             if fe.inst.is_load() {
+                self.versions.ldq_entries += 1;
                 self.ldq.push_back(LdqEntry {
                     seq,
                     pc: fe.pc,
@@ -1218,6 +1258,7 @@ impl Core {
                 });
             }
             if fe.inst.is_store() {
+                self.versions.stq_entries += 1;
                 self.stq.push_back(StqEntry {
                     seq,
                     pc: fe.pc,
@@ -1233,6 +1274,8 @@ impl Core {
             if needs_iq {
                 self.iq.push(seq);
             }
+            self.rob_pcs.extend(uop.fused.iter().map(|f| f.pc));
+            self.rob_pcs.push_back(uop.pc);
             self.rob.push_back(uop);
         }
     }
@@ -1337,61 +1380,75 @@ impl Core {
         let cfg = &self.cfg;
         let tracer = &mut self.tracer;
         let row = &mut self.trace_row;
+        let v = self.versions;
 
-        let stq = || self.stq.iter();
-        tracer.record_row(
-            UnitId::SqAddr,
-            fixed_row(row, cfg.stq_entries, stq().map(|e| e.addr.unwrap_or(0))),
-        );
-        tracer.record_row(UnitId::SqPc, fixed_row(row, cfg.stq_entries, stq().map(|e| e.pc)));
-
-        let ldq = || self.ldq.iter();
-        tracer.record_row(
-            UnitId::LqAddr,
-            fixed_row(row, cfg.ldq_entries, ldq().map(|e| e.addr.unwrap_or(0))),
-        );
-        tracer.record_row(UnitId::LqPc, fixed_row(row, cfg.ldq_entries, ldq().map(|e| e.pc)));
+        record_versioned(tracer, UnitId::SqAddr, v.stq_entries + v.stq_addrs, row, |row| {
+            fixed_row(row, cfg.stq_entries, self.stq.iter().map(|e| e.addr.unwrap_or(0)));
+        });
+        record_versioned(tracer, UnitId::SqPc, v.stq_entries, row, |row| {
+            fixed_row(row, cfg.stq_entries, self.stq.iter().map(|e| e.pc));
+        });
+        record_versioned(tracer, UnitId::LqAddr, v.ldq_entries + v.ldq_addrs, row, |row| {
+            fixed_row(row, cfg.ldq_entries, self.ldq.iter().map(|e| e.addr.unwrap_or(0)));
+        });
+        record_versioned(tracer, UnitId::LqPc, v.ldq_entries, row, |row| {
+            fixed_row(row, cfg.ldq_entries, self.ldq.iter().map(|e| e.pc));
+        });
 
         tracer.record_row(UnitId::RobOccupancy, &[self.rob.len() as u64]);
 
         // Fused fast-bypass ops sit before their carrier's PC; the row is
         // never truncated, only padded to the ROB size.
+        debug_assert!(
+            self.rob
+                .iter()
+                .flat_map(|u| u.fused.iter().map(|f| f.pc).chain([u.pc]))
+                .eq(self.rob_pcs.iter().copied()),
+            "the ROB-PC mirror differs from the ROB"
+        );
+        let (head, tail) = self.rob_pcs.as_slices();
         row.clear();
-        for u in &self.rob {
-            row.extend(u.fused.iter().map(|f| f.pc));
-            row.push(u.pc);
-        }
+        row.extend_from_slice(head);
+        row.extend_from_slice(tail);
         tracer.record_row(UnitId::RobPc, pad_row(row, cfg.rob_entries));
 
-        let lfbs = || self.l1d.lfb_entries();
-        tracer.record_row(
-            UnitId::LfbData,
-            fixed_row(row, cfg.lfb_entries, lfbs().map(|l| l.data_digest)),
-        );
-        tracer.record_row(
-            UnitId::LfbAddr,
-            fixed_row(row, cfg.lfb_entries, lfbs().map(|l| l.line_addr)),
-        );
+        let buffers = self.l1d.buffers_version();
+        record_versioned(tracer, UnitId::LfbData, buffers, row, |row| {
+            fixed_row(row, cfg.lfb_entries, self.l1d.lfb_entries().map(|l| l.data_digest));
+        });
+        record_versioned(tracer, UnitId::LfbAddr, buffers, row, |row| {
+            fixed_row(row, cfg.lfb_entries, self.l1d.lfb_entries().map(|l| l.line_addr));
+        });
 
         tracer.record_row(UnitId::EuuAlu, &self.alu_busy);
         tracer.record_row(UnitId::EuuAddrGen, &self.agu_busy);
-        tracer.record_row(UnitId::EuuDiv, &[self.div_busy.map_or(0, |op| op.pc)]);
+        let div = self.div_busy.map_or(0, |op| op.pc);
+        record_versioned(tracer, UnitId::EuuDiv, div, row, |row| {
+            row.clear();
+            row.push(div);
+        });
 
-        let muls = self.mul_inflight.iter().map(|op| op.pc);
-        tracer.record_row(UnitId::EuuMul, fixed_row(row, cfg.mul_latency as usize, muls));
+        record_versioned(tracer, UnitId::EuuMul, v.muls, row, |row| {
+            fixed_row(row, cfg.mul_latency as usize, self.mul_inflight.iter().map(|op| op.pc));
+        });
 
-        row.clear();
-        row.extend_from_slice(&self.nlp_issued);
-        tracer.record_row(UnitId::NlpAddr, pad_row(row, 2));
+        // Every cycle that issues a prefetch gets a version of its own.
+        let nlp = if self.nlp_issued.is_empty() { 0 } else { self.cycle };
+        record_versioned(tracer, UnitId::NlpAddr, nlp, row, |row| {
+            row.clear();
+            row.extend_from_slice(&self.nlp_issued);
+            pad_row(row, 2);
+        });
         row.clear();
         row.extend_from_slice(&self.dcache_reqs);
         tracer.record_row(UnitId::CacheAddr, pad_row(row, 4));
 
-        let pages = self.tlb.resident_pages();
-        tracer.record_row(UnitId::TlbAddr, fixed_row(row, cfg.tlb_entries, pages));
-
-        let mshrs = self.l1d.mshr_addrs();
-        tracer.record_row(UnitId::MshrAddr, fixed_row(row, cfg.l1d.mshrs, mshrs));
+        record_versioned(tracer, UnitId::TlbAddr, self.tlb.pages_version(), row, |row| {
+            fixed_row(row, cfg.tlb_entries, self.tlb.resident_pages());
+        });
+        record_versioned(tracer, UnitId::MshrAddr, buffers, row, |row| {
+            fixed_row(row, cfg.l1d.mshrs, self.l1d.mshr_addrs());
+        });
     }
 
     /// Cycles since the last commit (deadlock watchdog input).
@@ -1413,6 +1470,32 @@ impl Core {
             a += line;
         }
     }
+}
+
+/// Records `unit`'s row for this cycle, building it in `row` (by `build`)
+/// only when the tracer cannot extend the unit's run on `version` alone.
+/// Debug builds also rebuild every skipped row and check that it equals
+/// the run's row, so a missed version bump fails the tests.
+fn record_versioned(
+    tracer: &mut Tracer,
+    unit: UnitId,
+    version: u64,
+    row: &mut Vec<u64>,
+    build: impl FnOnce(&mut Vec<u64>),
+) {
+    if tracer.repeat_unchanged(unit, version) {
+        if cfg!(debug_assertions) {
+            build(row);
+            debug_assert_eq!(
+                tracer.run_row(unit),
+                Some(&row[..]),
+                "{unit}: version {version} unchanged but the row changed"
+            );
+        }
+        return;
+    }
+    build(row);
+    tracer.record_versioned(unit, version, row);
 }
 
 /// Refills `row` with the first `width` of `values`, zero-padded to exactly

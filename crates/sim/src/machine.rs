@@ -475,6 +475,58 @@ mod tests {
         assert!(iter_cycles <= r.pipeline.cycles);
     }
 
+    /// Capture by version (the default) and capture that builds every
+    /// row (`keep_matrices` refuses the shortcut) summarise every
+    /// iteration alike, on a program that moves each versioned structure
+    /// inside the traced iterations: loads and stores over four pages
+    /// (queues, LFBs, MSHRs, prefetches, TLB fills), multiplies, a divide,
+    /// a D-cache flush and a TLB flush.
+    #[test]
+    fn versioned_capture_equals_building_every_row() {
+        let program = assemble(
+            r#"
+            .data
+            arr: .zero 16384
+            .text
+            csrw 0x8c0, zero       # SCR start
+            li s0, 3               # three iterations, labels 3, 2, 1
+            loop:
+                csrw 0x8c2, s0     # iter start
+                la t0, arr
+                li t1, 24
+                walk:
+                    ld t2, 0(t0)
+                    mul t3, t2, t1
+                    sd t3, 8(t0)
+                    addi t0, t0, 520
+                    addi t1, t1, -1
+                    bgtz t1, walk
+                csrw 0x8c7, zero   # flush the TLB
+                divu t4, t0, s0
+                csrw 0x8c6, zero   # flush the D-cache
+                la t0, arr
+                ld t2, 0(t0)
+                csrw 0x8c3, zero   # iter end
+                addi s0, s0, -1
+                bgtz s0, loop
+            csrw 0x8c1, zero       # SCR end
+            ecall
+            "#,
+        )
+        .unwrap();
+        let run = |trace: TraceConfig| {
+            let mut m = Machine::with_trace_config(CoreConfig::mega_boom(), &program, trace);
+            m.run(2_000_000).expect("run completes").iterations
+        };
+        let versioned = run(TraceConfig::default());
+        let mut built = run(TraceConfig { keep_matrices: true, ..TraceConfig::default() });
+        for unit in built.iter_mut().flat_map(|it| &mut it.units) {
+            unit.rows = None;
+        }
+        assert_eq!(versioned.len(), 3);
+        assert_eq!(versioned, built);
+    }
+
     #[test]
     fn exit_csr_code_returned() {
         let (_, r) = run_on(CoreConfig::small_boom(), "li a0, 7\ncsrw 0x8c4, a0\nnop\necall\n");

@@ -1,6 +1,34 @@
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_SIZE: u64 = 4096;
+
+/// Multiply-shift hasher for maps and sets keyed by simulated addresses,
+/// PCs and page numbers (the page map here, the fold's membership set).
+/// The keys are never adversarial, so one multiply is enough; folding the
+/// high half down spreads the well-mixed high bits into the low bits the
+/// table indexes by.
+#[derive(Default)]
+pub(crate) struct MulShift(u64);
+
+impl Hasher for MulShift {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let p = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = p ^ (p >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Page = Box<[u8; PAGE_SIZE as usize]>;
 
 /// Sparse flat physical memory backed by 4 KiB pages.
 ///
@@ -18,13 +46,20 @@ const PAGE_SIZE: u64 = 4096;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    /// Pages by page number. Page numbers are simulated addresses and the
+    /// map is never iterated, so it hashes with [`MulShift`].
+    pages: HashMap<u64, Page, BuildHasherDefault<MulShift>>,
 }
 
 impl Memory {
     /// Creates empty (all-zero) memory.
     pub fn new() -> Memory {
-        Memory { pages: HashMap::new() }
+        Memory::default()
+    }
+
+    /// The page holding `addr`, allocated (zeroed) on first use.
+    fn page_mut(&mut self, addr: u64) -> &mut Page {
+        self.pages.entry(addr / PAGE_SIZE).or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]))
     }
 
     /// Reads one byte.
@@ -37,11 +72,7 @@ impl Memory {
 
     /// Writes one byte.
     pub fn write_u8(&mut self, addr: u64, value: u8) {
-        let page = self
-            .pages
-            .entry(addr / PAGE_SIZE)
-            .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-        page[(addr % PAGE_SIZE) as usize] = value;
+        self.page_mut(addr)[(addr % PAGE_SIZE) as usize] = value;
     }
 
     /// The in-page offset of `addr` when `addr .. addr + len` lies inside
@@ -71,11 +102,8 @@ impl Memory {
     pub fn write_le(&mut self, addr: u64, size: u64, value: u64) {
         debug_assert!(size <= 8);
         if let Some(off) = Memory::in_page(addr, size) {
-            let page = self
-                .pages
-                .entry(addr / PAGE_SIZE)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE as usize]));
-            page[off..off + size as usize].copy_from_slice(&value.to_le_bytes()[..size as usize]);
+            self.page_mut(addr)[off..off + size as usize]
+                .copy_from_slice(&value.to_le_bytes()[..size as usize]);
             return;
         }
         for i in 0..size {
@@ -98,10 +126,14 @@ impl Memory {
         self.write_le(addr, 8, value);
     }
 
-    /// Copies a byte slice into memory.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, b);
+    /// Copies a byte slice into memory, one page lookup per page touched.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr % PAGE_SIZE) as usize;
+            let len = bytes.len().min(PAGE_SIZE as usize - off);
+            self.page_mut(addr)[off..off + len].copy_from_slice(&bytes[..len]);
+            addr = addr.wrapping_add(len as u64);
+            bytes = &bytes[len..];
         }
     }
 
@@ -183,29 +215,46 @@ mod tests {
     proptest::proptest! {
         /// Accesses within 48 bytes of a page boundary (so many cross it)
         /// agree with the byte loop, on written and never-written pages.
+        /// Each step writes either one `write_le` word or, when `bulk` is
+        /// set, `len` bytes through `write_bytes`.
         #[test]
         fn page_granular_access_equals_byte_loop(
             ops in proptest::collection::vec(
-                (0u64..48, 1u64..=8, proptest::prelude::any::<u64>(), 1u64..=64),
+                (
+                    0u64..48,
+                    1u64..=8,
+                    proptest::prelude::any::<u64>(),
+                    1u64..=64,
+                    proptest::prelude::any::<bool>(),
+                ),
                 1..40,
             ),
             page in 1u64..4,
         ) {
             let base = page * PAGE_SIZE - 24;
             let (mut fast, mut bytewise) = (Memory::new(), Memory::new());
-            for &(off, size, value, len) in &ops {
+            for &(off, size, value, len, bulk) in &ops {
                 let addr = base + off;
                 // Reads first, so the first ones see never-written pages.
                 let read = bytewise_read(&bytewise, addr, size);
                 proptest::prop_assert_eq!(fast.read_le(addr, size), read);
                 let digest = bytewise_digest(&bytewise, addr, len);
                 proptest::prop_assert_eq!(fast.line_digest(addr, len), digest);
-                fast.write_le(addr, size, value);
-                for i in 0..size {
-                    bytewise.write_u8(addr + i, (value >> (8 * i)) as u8);
+                let bytes: Vec<u8> = if bulk {
+                    (0..len).map(|i| (value >> (8 * (i % 8))) as u8 ^ i as u8).collect()
+                } else {
+                    value.to_le_bytes()[..size as usize].to_vec()
+                };
+                if bulk {
+                    fast.write_bytes(addr, &bytes);
+                } else {
+                    fast.write_le(addr, size, value);
+                }
+                for (a, &b) in (addr..).zip(&bytes) {
+                    bytewise.write_u8(a, b);
                 }
             }
-            for addr in base..base + 56 {
+            for addr in base..base + 48 + 64 {
                 proptest::prop_assert_eq!(fast.read_u8(addr), bytewise.read_u8(addr));
             }
         }

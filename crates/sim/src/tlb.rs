@@ -15,6 +15,8 @@ pub struct Tlb {
     entries: Vec<(u64, u64)>,
     capacity: usize,
     stamp: u64,
+    /// Fills and flushes so far (see [`Tlb::pages_version`]).
+    changes: u64,
     /// Hits accumulated (for stats).
     pub hits: u64,
     /// Misses accumulated.
@@ -29,7 +31,14 @@ impl Tlb {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Tlb {
         assert!(capacity > 0, "TLB needs at least one entry");
-        Tlb { entries: Vec::with_capacity(capacity), capacity, stamp: 0, hits: 0, misses: 0 }
+        Tlb {
+            entries: Vec::with_capacity(capacity),
+            capacity,
+            stamp: 0,
+            changes: 0,
+            hits: 0,
+            misses: 0,
+        }
     }
 
     /// Translates the page of `addr`. Returns `true` on a hit; on a miss the
@@ -44,6 +53,7 @@ impl Tlb {
             return true;
         }
         self.misses += 1;
+        self.changes += 1;
         if self.entries.len() >= self.capacity {
             let (idx, _) = self
                 .entries
@@ -69,8 +79,15 @@ impl Tlb {
         self.entries.iter().map(|(p, _)| *p)
     }
 
+    /// A version of [`Tlb::resident_pages`]: it changes with every fill and
+    /// flush, the only ways the resident pages change.
+    pub(crate) fn pages_version(&self) -> u64 {
+        self.changes
+    }
+
     /// Drops every entry.
     pub fn flush(&mut self) {
+        self.changes += 1;
         self.entries.clear();
     }
 }

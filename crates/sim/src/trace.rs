@@ -27,11 +27,12 @@
 //! produce byte-identical summaries.
 
 use crate::fault::{FaultConfig, FaultPlan};
+use crate::memory::MulShift;
 use crate::pipeline::PipelineStats;
 use microsampler_stats::SipHasher;
 use std::collections::HashSet;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 /// Identifier of a tracked microarchitectural unit (paper Table IV).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -224,30 +225,6 @@ impl IterationTrace {
     }
 }
 
-/// Multiply-shift hasher for the fold's membership set of `u64` snapshot
-/// values. The values are simulated addresses and PCs, not adversarial
-/// keys, so one multiply is enough; folding the high half down spreads
-/// the well-mixed high bits into the low bits the table indexes by.
-#[derive(Default)]
-struct MulShift(u64);
-
-impl Hasher for MulShift {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let p = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = p ^ (p >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// One unit's fold state. The tracer keeps one per unit for its whole
 /// life: [`UnitBuilder::finish`] hands out the open iteration's summary
 /// and resets the builder in place, keeping its buffers.
@@ -262,6 +239,10 @@ struct UnitBuilder {
     last_digest: u64,
     /// Length of the current run (0 before the iteration's first row).
     run: u64,
+    /// The source version recorded with the current run's row by
+    /// [`Tracer::record_versioned`]; `None` when no run is open or its row
+    /// came through [`Tracer::record_row`].
+    version: Option<u64>,
     /// Membership index over `order`. Holds every non-zero value of
     /// `last_row` while `run > 0`.
     seen: HashSet<u64, BuildHasherDefault<MulShift>>,
@@ -278,6 +259,7 @@ impl UnitBuilder {
             last_row: Vec::new(),
             last_digest: 0,
             run: 0,
+            version: None,
             seen: HashSet::default(),
             order: Vec::new(),
             rows: cfg.keep_matrices.then(Vec::new),
@@ -299,20 +281,22 @@ impl UnitBuilder {
             self.run += 1;
             return 0;
         }
-        // Every non-zero value of the previous row is already a feature,
-        // so values carried over from it need no membership check: first
-        // the prefix that continues it shifted left (queues retiring from
-        // the head), then the positions whose value is unchanged.
-        let prev: &[u64] = if self.run > 0 { &self.last_row } else { &[] };
-        for (i, &v) in row.iter().enumerate().skip(shifted_prefix(prev, row)) {
-            if v != 0 && prev.get(i) != Some(&v) && self.seen.insert(v) {
-                self.order.push(v);
-            }
-        }
         self.close_run();
+        // One pass digests the row and collects its features. Every
+        // non-zero value of the previous row is already a feature, so
+        // values carried over from it need no membership check: first the
+        // prefix that continues it shifted left (queues retiring from the
+        // head), then the positions whose value is unchanged.
+        let prev: &[u64] = if self.run > 0 { &self.last_row } else { &[] };
+        let skip = shifted_prefix(prev, row);
+        let (seen, order) = (&mut self.seen, &mut self.order);
         let mut digest = snapshot_hasher();
         digest.write_u64(row.len() as u64);
-        digest.write_u64s(row);
+        digest.write_u64s_each(row, |i, v| {
+            if i >= skip && v != 0 && prev.get(i) != Some(&v) && seen.insert(v) {
+                order.push(v);
+            }
+        });
         self.last_digest = digest.finish();
         self.timeless_hasher.write_u64(self.last_digest);
         self.run = 1;
@@ -336,6 +320,7 @@ impl UnitBuilder {
     fn finish(&mut self) -> UnitTrace {
         self.close_run();
         self.run = 0;
+        self.version = None;
         self.seen.clear();
         UnitTrace {
             hash: std::mem::replace(&mut self.hasher, snapshot_hasher()).finish(),
@@ -524,13 +509,60 @@ impl Tracer {
     /// (post-flip values are also what the text log records), and rows of
     /// a dropped cycle are discarded wholesale.
     pub fn record_row(&mut self, unit: UnitId, row: &[u64]) {
+        self.record(unit, None, row);
+    }
+
+    /// [`Tracer::record_row`] for a row built from a source whose
+    /// `version` changes whenever the row may have changed: while the
+    /// unit's run stays open, [`Tracer::repeat_unchanged`] with the same
+    /// version extends it without the row.
+    pub(crate) fn record_versioned(&mut self, unit: UnitId, version: u64, row: &[u64]) {
+        self.record(unit, Some(version), row);
+    }
+
+    /// Records `unit`'s row for the current cycle without the row, when
+    /// that is exact: `version` equals the one [`Tracer::record_versioned`]
+    /// stored with the unit's open run, so the row equals the run's row
+    /// and only extends the run. Returns `false`, recording nothing, when
+    /// the row itself is needed: at the start of an iteration, after a
+    /// plain [`Tracer::record_row`] or a version change, with matrices
+    /// kept, the text log on or a fault plan set, and in a dropped cycle
+    /// (whose rows record nothing either way). The caller then builds the
+    /// row and passes it to [`Tracer::record_versioned`].
+    #[inline]
+    pub(crate) fn repeat_unchanged(&mut self, unit: UnitId, version: u64) -> bool {
+        let b = &mut self.units[unit.index()];
+        if b.version != Some(version)
+            || self.current.is_none()
+            || self.drop_this_cycle
+            || self.cfg.keep_matrices
+            || self.fault_plan.is_some()
+            || self.log.is_some()
+        {
+            return false;
+        }
+        b.run += 1;
+        b.cycle_rows += 1;
+        self.rows_sampled += 1;
+        true
+    }
+
+    /// The row of `unit`'s open run, if any.
+    pub(crate) fn run_row(&self, unit: UnitId) -> Option<&[u64]> {
+        let b = &self.units[unit.index()];
+        (b.run > 0).then_some(&b.last_row[..])
+    }
+
+    fn record(&mut self, unit: UnitId, version: Option<u64>, row: &[u64]) {
         if self.current.is_none() || self.drop_this_cycle {
             return;
         }
         let flipped = self.flip_row(unit, row);
         let row: &[u64] = flipped.as_deref().unwrap_or(row);
         self.rows_sampled += 1;
-        self.hash_bytes += self.units[unit.index()].fold_row(row);
+        let b = &mut self.units[unit.index()];
+        self.hash_bytes += b.fold_row(row);
+        b.version = version;
         if self.cfg.keep_matrices {
             self.matrix_cells += row.len() as u64;
         }
@@ -866,6 +898,124 @@ mod tests {
                 a,
                 b
             );
+        }
+    }
+
+    /// A tracer with one iteration open and one cycle begun.
+    fn open_tracer(cfg: TraceConfig) -> Tracer {
+        let mut t = Tracer::new(cfg);
+        t.scr_start(0);
+        t.iter_start(0, 0);
+        t.begin_cycle(1);
+        t
+    }
+
+    #[test]
+    fn versioned_shortcut_needs_a_same_version_run() {
+        let unit = UnitId::TlbAddr;
+        let mut t = open_tracer(TraceConfig::default());
+        assert!(!t.repeat_unchanged(unit, 0), "refused at the start of an iteration");
+        t.record_versioned(unit, 5, &[7, 0]);
+        t.begin_cycle(2);
+        assert!(!t.repeat_unchanged(unit, 6), "refused on another version");
+        assert!(t.repeat_unchanged(unit, 5), "accepted on the run's version");
+        t.begin_cycle(3);
+        // A new version with an equal row extends the run under that version.
+        t.record_versioned(unit, 6, &[7, 0]);
+        t.begin_cycle(4);
+        assert!(!t.repeat_unchanged(unit, 5));
+        assert!(t.repeat_unchanged(unit, 6));
+        t.begin_cycle(5);
+        t.record_row(unit, &[7, 0]);
+        t.begin_cycle(6);
+        assert!(!t.repeat_unchanged(unit, 6), "refused after a plain record_row");
+        t.record_versioned(unit, 6, &[7, 0]);
+        assert_eq!(t.rows_sampled, 6, "one row per cycle: refusals record nothing");
+        t.iter_end(7);
+        assert_eq!(*t.iterations[0].unit(unit), fold(&vec![vec![7, 0]; 6]));
+        t.iter_start(8, 1);
+        t.begin_cycle(9);
+        assert!(!t.repeat_unchanged(unit, 6), "refused at the next iteration's start");
+    }
+
+    #[test]
+    fn versioned_shortcut_is_refused_when_the_row_itself_is_needed() {
+        let kept = TraceConfig { keep_matrices: true, ..TraceConfig::default() };
+        let faulted =
+            TraceConfig { faults: Some(FaultConfig::default()), ..TraceConfig::default() };
+        let mut logged = open_tracer(TraceConfig::default());
+        logged.enable_log();
+        for (what, mut t) in [
+            ("keep_matrices", open_tracer(kept)),
+            ("a fault plan", open_tracer(faulted)),
+            ("the log", logged),
+        ] {
+            t.record_versioned(UnitId::SqPc, 3, &[1, 2]);
+            t.begin_cycle(2);
+            assert!(!t.repeat_unchanged(UnitId::SqPc, 3), "refused under {what}");
+        }
+        // A dropped cycle records nothing, shortcut or not.
+        let mut t = open_tracer(TraceConfig::default());
+        t.record_versioned(UnitId::SqPc, 3, &[1, 2]);
+        t.begin_cycle(2);
+        t.drop_cycle(2);
+        assert!(!t.repeat_unchanged(UnitId::SqPc, 3), "refused in a dropped cycle");
+        t.record_versioned(UnitId::SqPc, 3, &[1, 2]);
+        assert_eq!(t.rows_sampled, 1);
+    }
+
+    /// The rows the shortcut proptest's versions stand for: versions 1
+    /// and 2 give equal rows, so a version change need not change the row.
+    const VERSIONED_ROWS: [&[u64]; 4] = [&[0, 0], &[4, 0], &[4, 0], &[4, 5]];
+
+    proptest::proptest! {
+        /// Driving a unit by version (the shortcut where the tracer takes
+        /// it, else the row with its version) folds every iteration to the
+        /// same summaries and counters as recording every row, whether or
+        /// not another unit's rows are plain.
+        #[test]
+        fn versioned_rows_fold_like_plain_rows(
+            iterations in proptest::collection::vec(
+                proptest::collection::vec(0usize..VERSIONED_ROWS.len(), 0..24),
+                1..4,
+            ),
+        ) {
+            let (mut plain, mut versioned) =
+                (Tracer::new(TraceConfig::default()), Tracer::new(TraceConfig::default()));
+            let mut shortcuts = 0;
+            for t in [&mut plain, &mut versioned] {
+                t.scr_start(0);
+            }
+            let mut cycle = 0;
+            for (label, versions) in iterations.iter().enumerate() {
+                plain.iter_start(cycle, label as u64);
+                versioned.iter_start(cycle, label as u64);
+                for &v in versions {
+                    cycle += 1;
+                    let row = VERSIONED_ROWS[v];
+                    plain.begin_cycle(cycle);
+                    plain.record_row(UnitId::MshrAddr, row);
+                    plain.record_row(UnitId::RobOccupancy, &[v as u64]);
+                    versioned.begin_cycle(cycle);
+                    if versioned.repeat_unchanged(UnitId::MshrAddr, v as u64) {
+                        shortcuts += 1;
+                    } else {
+                        versioned.record_versioned(UnitId::MshrAddr, v as u64, row);
+                    }
+                    versioned.record_row(UnitId::RobOccupancy, &[v as u64]);
+                }
+                cycle += 1;
+                plain.iter_end(cycle);
+                versioned.iter_end(cycle);
+            }
+            proptest::prop_assert_eq!(&versioned.iterations, &plain.iterations);
+            proptest::prop_assert_eq!(versioned.rows_sampled, plain.rows_sampled);
+            proptest::prop_assert_eq!(versioned.hash_bytes, plain.hash_bytes);
+            let repeats: usize = iterations
+                .iter()
+                .map(|vs| vs.windows(2).filter(|w| w[0] == w[1]).count())
+                .sum();
+            proptest::prop_assert_eq!(shortcuts, repeats, "every same-version repeat is a shortcut");
         }
     }
 
