@@ -274,16 +274,15 @@ fn main() -> ExitCode {
             }
         }
         sweep_opts.isolate = true;
-        sweep::set_options(Some(sweep_opts));
     }
     for w in &wanted {
-        sweep::reset_events();
+        let ctx = sweep::RunContext::new(scale, sweep_opts.clone());
         if let Some(dir) = &json_dir {
             span::set_enabled(true);
             metrics::set_enabled(true);
             span::take();
             metrics::reset();
-            let result = run(w, &scale);
+            let result = run(w, &ctx);
             let spans = span::take();
             let snapshot = metrics::snapshot();
             span::set_enabled(false);
@@ -294,7 +293,7 @@ fn main() -> ExitCode {
                 .field("scale", scale_to_json(&scale))
                 .field("threads", microsampler_par::threads())
                 .field("result", result)
-                .field("trials", sweep::events_to_json())
+                .field("trials", ctx.trials_to_json())
                 .field("spans", span::nodes_to_json(&spans))
                 .field("metrics", metrics::snapshot_to_json(&snapshot))
                 .build();
@@ -304,7 +303,7 @@ fn main() -> ExitCode {
             }
             println!("wrote {}", path.display());
         } else {
-            run(w, &scale);
+            run(w, &ctx);
         }
     }
     ExitCode::SUCCESS
@@ -1161,7 +1160,8 @@ fn scale_to_json(s: &Scale) -> Value {
 
 /// Runs one experiment, prints its paper-style output, and returns the
 /// structured result for the `--json` run report.
-fn run(which: &str, scale: &Scale) -> Value {
+fn run(which: &str, ctx: &sweep::RunContext) -> Value {
+    let scale = &ctx.scale;
     match which {
         "table1" => {
             println!("\n== Table I: leakage-detection tool comparison (qualitative) ==");
@@ -1205,7 +1205,7 @@ fn run(which: &str, scale: &Scale) -> Value {
         }
         "table2" => {
             println!("\n== Table II: contingency table for SQ-ADDR (SAM-CT-CMOV) ==");
-            let t = exp::table2(scale);
+            let t = exp::table2(ctx);
             println!("{t}");
             let assoc = t.association();
             println!("{assoc}");
@@ -1256,7 +1256,7 @@ fn run(which: &str, scale: &Scale) -> Value {
                 "{:<34} {:>5} {:>6} {:>7} {:>6} {:>6}  dominant stall",
                 "primitive", "func", "leak", "maxV", "esc", "ipc"
             );
-            let rows = exp::table5(scale);
+            let rows = exp::table5(ctx);
             for r in &rows {
                 println!(
                     "{:<34} {:>5} {:>6} {:>7.3} {:>6} {:>6.3}  {}",
@@ -1321,13 +1321,13 @@ fn run(which: &str, scale: &Scale) -> Value {
                 .build()
         }
         "fig3" => {
-            let r = exp::fig3(scale);
+            let r = exp::fig3(ctx);
             print_v_chart("Fig 3: ME-V1-CV Cramer's V per unit", &r.v_series());
             print_leaks(&r);
             r.to_json()
         }
         "fig4" => {
-            let r = exp::fig4(scale);
+            let r = exp::fig4(ctx);
             print_v_chart("Fig 4: ME-V1-MV Cramer's V per unit", &r.v_series());
             print_leaks(&r);
             let rp = exp::fig4_with_pressure(scale);
@@ -1339,7 +1339,7 @@ fn run(which: &str, scale: &Scale) -> Value {
         }
         "fig5" => {
             println!("\n== Fig 5: SQ-ADDR feature uniqueness for ME-V1-MV ==");
-            let u = exp::fig5(scale);
+            let u = exp::fig5(ctx);
             for (class, feats) in &u.unique {
                 print!("class bit={class}: {} unique addresses:", feats.len());
                 for f in feats.iter().take(8) {
@@ -1396,13 +1396,13 @@ fn run(which: &str, scale: &Scale) -> Value {
             Value::object().field("cold", classes(&f.cold)).field("warm", classes(&f.warm)).build()
         }
         "fig7" => {
-            let r = exp::fig7(scale);
+            let r = exp::fig7(ctx);
             print_v_chart("Fig 7: ME-V2-Safe Cramer's V per unit", &r.v_series());
             print_leaks(&r);
             r.to_json()
         }
         "fig9" => {
-            let r = exp::fig9(scale);
+            let r = exp::fig9(ctx);
             print_v_chart("Fig 9: ME-V2-FB (fast bypass) with timing", &r.v_series());
             print_v_chart("Fig 9: ME-V2-FB timing removed", &r.v_series_timeless());
             print_leaks(&r);
@@ -1414,7 +1414,7 @@ fn run(which: &str, scale: &Scale) -> Value {
                 "{:>5} {:>6} | {:>9} {:>8} | {:>8} {:>7} {:>10}",
                 "keys", "iters", "leaky maxV", "flagged", "safe maxV", "flagged", "needs more"
             );
-            let points = exp::sensitivity(scale);
+            let points = exp::sensitivity(ctx);
             for p in &points {
                 println!(
                     "{:>5} {:>6} | {:>10.3} {:>8} | {:>9.3} {:>7} {:>10}",

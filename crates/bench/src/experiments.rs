@@ -2,14 +2,16 @@
 //! data so the integration tests can assert the paper's shapes and the
 //! `repro` binary can print them.
 
-use crate::{modexp_report, run_modexp_iterations, Scale};
+use crate::sweep::{QuarantinedTrial, RunContext};
+use crate::Scale;
 use microsampler_core::{
-    analyze, feature_ordering, feature_uniqueness, AnalysisReport, Analyzer, UniquenessReport,
+    analyze, feature_ordering, feature_uniqueness, AnalysisReport, Analyzer, EscalationOutcome,
+    UniquenessReport,
 };
 use microsampler_kernels::inputs::{memcmp_pairs, memcmp_schedule};
 use microsampler_kernels::memcmp::MemcmpKernel;
 use microsampler_kernels::modexp::{Fig6Kernel, ModexpKernel, ModexpVariant};
-use microsampler_kernels::openssl::Primitive;
+use microsampler_kernels::openssl::{Primitive, PrimitiveOutcome};
 use microsampler_obs::{diag, span};
 use microsampler_sim::{parse_text_log, CoreConfig, TraceConfig, UnitId};
 use microsampler_stats::ContingencyTable;
@@ -49,8 +51,9 @@ pub fn fig2(scale: &Scale) -> Vec<(u64, Vec<Vec<u64>>)> {
 
 /// Table II: a real contingency table for SQ-ADDR from the constant-time
 /// square-and-multiply kernel.
-pub fn table2(scale: &Scale) -> ContingencyTable<u64, u64> {
-    let iters = run_modexp_iterations(
+pub fn table2(ctx: &RunContext) -> ContingencyTable<u64, u64> {
+    let scale = &ctx.scale;
+    let iters = ctx.modexp_iterations(
         ModexpVariant::CtCmov,
         &CoreConfig::mega_boom(),
         scale.keys.min(4),
@@ -98,18 +101,17 @@ pub struct Table5Row {
 /// Table V: the 27 OpenSSL `constant_time_*` primitives (the
 /// `CRYPTO_memcmp` row comes from [`fig10`], which identifies its leak).
 ///
-/// Uses the paper's escalation policy: when a primitive shows strong but
-/// not-yet-significant association, the trial count is increased until the
-/// p-value resolves the verdict.
-pub fn table5(scale: &Scale) -> Vec<Table5Row> {
-    let analyzer = Analyzer::new();
+/// Uses the paper's escalation policy through [`escalate`]: when a
+/// primitive shows strong but not-yet-significant association, the trial
+/// count is increased until the p-value resolves the verdict.
+pub fn table5(ctx: &RunContext) -> Vec<Table5Row> {
     let primitives = Primitive::all();
     let total = primitives.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
     // The 27 primitives are independent audits (each with its own
     // escalation loop); fan them out and keep the rows in table order.
     microsampler_par::map(&primitives, |_, prim| {
-        let row = table5_row(&analyzer, prim, scale);
+        let row = table5_row(ctx, prim);
         let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         diag::progress("table5", finished, total);
         row
@@ -119,16 +121,14 @@ pub fn table5(scale: &Scale) -> Vec<Table5Row> {
 /// Audits one Table V primitive. A simulator failure never panics the
 /// sweep: the row is quarantined (first run) or annotated (escalation
 /// round) and the remaining 26 audits proceed.
-fn table5_row(analyzer: &Analyzer, prim: &Primitive, scale: &Scale) -> Table5Row {
-    let audit = |trials: usize, seed: u64| {
-        prim.run(CoreConfig::mega_boom(), trials, seed, TraceConfig::default())
-            .map_err(|e| format!("{}: {e}", prim.name))
-    };
-    let first = match audit(scale.primitive_trials, scale.seed) {
-        Ok(first) => first,
+fn table5_row(ctx: &RunContext, prim: &Primitive) -> Table5Row {
+    let scale = &ctx.scale;
+    let mega = |_| CoreConfig::mega_boom();
+    let audit = match escalate(scale.primitive_trials, scale.seed, 4, mega, primitive_batch(prim)) {
+        Ok(audit) => audit,
         Err(e) => {
             microsampler_obs::metrics::record("trial.quarantined", 1.0);
-            crate::sweep::tally_quarantined(crate::sweep::QuarantinedTrial {
+            ctx.quarantine(QuarantinedTrial {
                 id: format!("table5/{}", prim.name),
                 class: microsampler_par::FailureClass::SimError,
                 message: e.clone(),
@@ -146,32 +146,80 @@ fn table5_row(analyzer: &Analyzer, prim: &Primitive, scale: &Scale) -> Table5Row
             };
         }
     };
-    let mut functional_ok = first.functional_ok;
-    let mut escalation_error = None;
-    let outcome = analyzer.analyze_with_escalation(first.result.iterations, 4, |round| {
-        match audit(scale.primitive_trials * 2, scale.seed + round as u64 * 7919) {
-            Ok(extra) => {
-                functional_ok &= extra.functional_ok;
-                extra.result.iterations
-            }
-            Err(e) => {
-                escalation_error = Some(format!("escalation round {round}: {e}"));
-                // An empty batch stops the escalation loop; the verdict
-                // from the iterations gathered so far stands.
-                Vec::new()
-            }
-        }
-    });
-    let max_v = outcome.report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max);
+    let report = &audit.outcome.report;
     Table5Row {
         name: prim.name.to_owned(),
-        leak_identified: outcome.report.is_leaky(),
-        functional_ok,
-        max_v,
-        escalation_rounds: outcome.rounds,
-        ipc: outcome.report.pipeline.ipc(),
-        dominant_stall: outcome.report.pipeline.dominant_stall().map(|(name, _)| name.to_owned()),
-        error: escalation_error,
+        leak_identified: report.is_leaky(),
+        functional_ok: audit.functional_ok,
+        max_v: report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max),
+        escalation_rounds: audit.outcome.rounds,
+        ipc: report.pipeline.ipc(),
+        dominant_stall: report.pipeline.dominant_stall().map(|(name, _)| name.to_owned()),
+        error: audit.error,
+    }
+}
+
+/// An audit under the paper's input escalation, as [`escalate`] ran it.
+#[derive(Clone, Debug)]
+pub struct Escalation {
+    /// The verdict over every batch that ran.
+    pub outcome: EscalationOutcome,
+    /// Whether every batch matched its reference model.
+    pub functional_ok: bool,
+    /// The first escalation round's error. It stopped the escalation, and
+    /// the verdict over the batches before it stands.
+    pub error: Option<String>,
+}
+
+/// The one escalation schedule (paper §VII-D) behind Table V, `repro
+/// lint`'s cross-validation and the `audit_crypto_library` example.
+///
+/// Runs `trials` trials at `seed` on `config(0)`. Then, while some unit
+/// shows strong but not yet significant association, runs up to
+/// `max_rounds` rounds of `2 × trials` trials at `seed + round × 7919` on
+/// `config(round)`. `batch` runs one batch from `(config, trials, seed)`;
+/// [`primitive_batch`] is the one for a Table V primitive.
+///
+/// # Errors
+///
+/// The first batch's error. An escalation round's error is not one: it is
+/// returned in [`Escalation::error`].
+pub fn escalate(
+    trials: usize,
+    seed: u64,
+    max_rounds: usize,
+    config: impl Fn(usize) -> CoreConfig,
+    mut batch: impl FnMut(CoreConfig, usize, u64) -> Result<PrimitiveOutcome, String>,
+) -> Result<Escalation, String> {
+    let first = batch(config(0), trials, seed)?;
+    let mut functional_ok = first.functional_ok;
+    let mut error = None;
+    let outcome =
+        Analyzer::new().analyze_with_escalation(first.result.iterations, max_rounds, |round| {
+            match batch(config(round), trials * 2, seed + round as u64 * 7919) {
+                Ok(extra) => {
+                    functional_ok &= extra.functional_ok;
+                    extra.result.iterations
+                }
+                Err(e) => {
+                    error = Some(format!("escalation round {round}: {e}"));
+                    // An empty batch stops the escalation loop; the verdict
+                    // from the iterations gathered so far stands.
+                    Vec::new()
+                }
+            }
+        });
+    Ok(Escalation { outcome, functional_ok, error })
+}
+
+/// [`escalate`]'s batch for a Table V primitive: [`Primitive::run`] with
+/// the default trace configuration, its errors naming the primitive.
+pub fn primitive_batch(
+    prim: &Primitive,
+) -> impl Fn(CoreConfig, usize, u64) -> Result<PrimitiveOutcome, String> + '_ {
+    move |config, trials, seed| {
+        prim.run(config, trials, seed, TraceConfig::default())
+            .map_err(|e| format!("{}: {e}", prim.name))
     }
 }
 
@@ -316,40 +364,33 @@ pub fn table7(scale: &Scale) -> Table7 {
     }
 }
 
+/// A modexp case study's pooled iterations at the context's scale.
+fn case_study_iterations(
+    ctx: &RunContext,
+    variant: ModexpVariant,
+    config: &CoreConfig,
+) -> Vec<microsampler_sim::IterationTrace> {
+    let s = &ctx.scale;
+    ctx.modexp_iterations(variant, config, s.keys, s.key_bytes, s.seed)
+}
+
 /// Fig. 3: per-unit Cramér's V for `ME-V1-CV` (compiler vulnerability —
 /// nearly everything correlates).
-pub fn fig3(scale: &Scale) -> AnalysisReport {
-    modexp_report(
-        ModexpVariant::V1CompilerVuln,
-        &CoreConfig::mega_boom(),
-        scale.keys,
-        scale.key_bytes,
-        scale.seed,
-    )
+pub fn fig3(ctx: &RunContext) -> AnalysisReport {
+    analyze(&case_study_iterations(ctx, ModexpVariant::V1CompilerVuln, &CoreConfig::mega_boom()))
 }
 
 /// Fig. 4: per-unit Cramér's V for `ME-V1-MV` (microarchitectural
 /// vulnerability — memory-side units correlate).
-pub fn fig4(scale: &Scale) -> AnalysisReport {
-    modexp_report(
-        ModexpVariant::V1MicroarchVuln,
-        &CoreConfig::mega_boom(),
-        scale.keys,
-        scale.key_bytes,
-        scale.seed,
-    )
+pub fn fig4(ctx: &RunContext) -> AnalysisReport {
+    analyze(&case_study_iterations(ctx, ModexpVariant::V1MicroarchVuln, &CoreConfig::mega_boom()))
 }
 
 /// Fig. 5: SQ-ADDR feature uniqueness for `ME-V1-MV` — the per-class
 /// unique store addresses (the paper's red/blue scatter).
-pub fn fig5(scale: &Scale) -> UniquenessReport {
-    let iters = run_modexp_iterations(
-        ModexpVariant::V1MicroarchVuln,
-        &CoreConfig::mega_boom(),
-        scale.keys,
-        scale.key_bytes,
-        scale.seed,
-    );
+pub fn fig5(ctx: &RunContext) -> UniquenessReport {
+    let iters =
+        case_study_iterations(ctx, ModexpVariant::V1MicroarchVuln, &CoreConfig::mega_boom());
     feature_uniqueness(&iters, UnitId::SqAddr)
 }
 
@@ -394,26 +435,15 @@ pub fn fig6(scale: &Scale) -> Fig6 {
 }
 
 /// Fig. 7: per-unit Cramér's V for `ME-V2-Safe` (all insignificant).
-pub fn fig7(scale: &Scale) -> AnalysisReport {
-    modexp_report(
-        ModexpVariant::V2Safe,
-        &CoreConfig::mega_boom(),
-        scale.keys,
-        scale.key_bytes,
-        scale.seed,
-    )
+pub fn fig7(ctx: &RunContext) -> AnalysisReport {
+    analyze(&case_study_iterations(ctx, ModexpVariant::V2Safe, &CoreConfig::mega_boom()))
 }
 
 /// Fig. 9: `ME-V2-Safe` on the fast-bypass core — the report carries both
 /// the full and the timing-removed associations.
-pub fn fig9(scale: &Scale) -> AnalysisReport {
-    modexp_report(
-        ModexpVariant::V2Safe,
-        &CoreConfig::mega_boom().with_fast_bypass(),
-        scale.keys,
-        scale.key_bytes,
-        scale.seed,
-    )
+pub fn fig9(ctx: &RunContext) -> AnalysisReport {
+    let bypass = CoreConfig::mega_boom().with_fast_bypass();
+    analyze(&case_study_iterations(ctx, ModexpVariant::V2Safe, &bypass))
 }
 
 /// The call patterns the paper reports for `CRYPTO_memcmp` windows
@@ -515,29 +545,22 @@ pub struct SensitivityPoint {
 /// number of inputs. With few samples the safe kernel can show high V but
 /// the p-value guard withholds the flag; the leaky kernel's verdict locks
 /// in quickly and stays.
-pub fn sensitivity(scale: &Scale) -> Vec<SensitivityPoint> {
+pub fn sensitivity(ctx: &RunContext) -> Vec<SensitivityPoint> {
+    let scale = &ctx.scale;
     let max_v =
         |r: &AnalysisReport| r.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max);
+    let report = |variant, keys| {
+        let mega = CoreConfig::mega_boom();
+        analyze(&ctx.modexp_iterations(variant, &mega, keys, scale.key_bytes, scale.seed))
+    };
     let sweep = [1usize, 2, 4, 8, 16];
     sweep
         .iter()
         .enumerate()
         .map(|(idx, &keys)| {
             diag::progress("sensitivity", idx + 1, sweep.len());
-            let leaky = modexp_report(
-                ModexpVariant::V1CompilerVuln,
-                &CoreConfig::mega_boom(),
-                keys,
-                scale.key_bytes,
-                scale.seed,
-            );
-            let safe = modexp_report(
-                ModexpVariant::V2Safe,
-                &CoreConfig::mega_boom(),
-                keys,
-                scale.key_bytes,
-                scale.seed,
-            );
+            let leaky = report(ModexpVariant::V1CompilerVuln, keys);
+            let safe = report(ModexpVariant::V2Safe, keys);
             SensitivityPoint {
                 keys,
                 iterations: leaky.iterations,

@@ -49,23 +49,19 @@ impl Scale {
 }
 
 /// Runs a modexp variant over `n_keys` random keys and returns the pooled
-/// labeled iterations.
+/// labeled iterations: [`sweep::RunContext::modexp_iterations`] under a
+/// default context, so no faults and no journal.
 ///
-/// This is [`sweep::run_modexp_sweep`] under the installed
-/// [`sweep::SweepOptions`], or the defaults when none are installed: the
-/// per-key trials fan out across the [`microsampler_par`] worker pool,
-/// each behind the crash-isolation harness, and the pooled iterations are
-/// concatenated in key order, so the result is bit-identical to a serial
-/// sweep at every thread count. Every trial counts toward the run
-/// report's `trials` tally.
+/// The per-key trials fan out across the [`microsampler_par`] worker
+/// pool, each behind the crash-isolation harness, and the pooled
+/// iterations are concatenated in key order, so the result is
+/// bit-identical to a serial sweep at every thread count.
 ///
 /// # Panics
 ///
 /// If a trial is quarantined (it failed to assemble or simulate, or its
-/// result diverged from the reference model) and the options do not set
-/// [`isolate`](sweep::SweepOptions::isolate); the message names the
-/// trial. With `isolate` set, the surviving trials' iterations are
-/// returned instead.
+/// result diverged from the reference model); the message names the
+/// trial.
 pub fn run_modexp_iterations(
     variant: ModexpVariant,
     config: &CoreConfig,
@@ -73,12 +69,7 @@ pub fn run_modexp_iterations(
     key_bytes: usize,
     seed: u64,
 ) -> Vec<IterationTrace> {
-    let opts = sweep::options().unwrap_or_default();
-    let out = sweep::run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &opts);
-    if let (Some(q), false) = (out.quarantined.first(), opts.isolate) {
-        panic!("trial {} failed ({}): {}", q.id, q.class, q.message);
-    }
-    out.iterations
+    sweep::RunContext::default().modexp_iterations(variant, config, n_keys, key_bytes, seed)
 }
 
 /// Runs and analyzes a modexp variant (the common shape of Figs. 3/4/7/9).

@@ -4,12 +4,13 @@
 //! a speculative dimension that checks CT-SPEC findings against runs
 //! driven with adversarial predictor state and spurious-squash plans.
 
+use crate::experiments::{escalate, primitive_batch, Escalation};
 use crate::Scale;
-use microsampler_core::{Analyzer, CrossReport, CrossRow, TraceConfig};
+use microsampler_core::{CrossReport, CrossRow, TraceConfig};
 use microsampler_ct::{analyze_program_opts, AnalyzeOptions, SpecModel, StaticReport};
 use microsampler_isa::asm::assemble;
 use microsampler_kernels::fixtures;
-use microsampler_kernels::openssl::Primitive;
+use microsampler_kernels::openssl::{Primitive, PrimitiveOutcome};
 use microsampler_obs::diag;
 use microsampler_sim::{CoreConfig, FaultConfig};
 
@@ -90,6 +91,9 @@ fn adversarial_config(seed: u64) -> CoreConfig {
     })
 }
 
+/// One batch of a kernel's dynamic audit, as [`escalate`] runs it.
+type Batch = Result<PrimitiveOutcome, String>;
+
 /// Cross-validates the static verdicts against the dynamic audit over
 /// the 27 Table V primitives and the seeded-leaky fixtures.
 ///
@@ -101,93 +105,43 @@ fn adversarial_config(seed: u64) -> CoreConfig {
 /// dimension, cross-checked against static CT-SPEC findings). Kernels
 /// fan out across the worker pool; rows come back in table order.
 pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
-    let analyzer = Analyzer::new();
     let primitives = Primitive::all();
     let fixture_list = fixtures::all();
     let total = primitives.len() + fixture_list.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
-    let static_for = |name: &str| -> &StaticReport {
-        statics
+    // Both dimensions run Table V's schedule; the adversarial one re-seeds
+    // its predictor state and squash plan every round.
+    let row = |name: &str, rounds: usize, batch: &dyn Fn(CoreConfig, usize, u64) -> Batch| {
+        let audit = |rounds, config: &dyn Fn(usize) -> CoreConfig| match escalate(
+            scale.primitive_trials,
+            scale.seed,
+            rounds,
+            config,
+            batch,
+        ) {
+            Ok(Escalation { outcome, error: None, .. }) => outcome.report,
+            Ok(Escalation { error: Some(e), .. }) | Err(e) => panic!("{e}"),
+        };
+        let mega = audit(rounds, &|_| CoreConfig::mega_boom());
+        let adv = audit(2, &|round| adversarial_config(scale.seed + round as u64));
+        let stat = statics
             .iter()
             .find(|r| r.name == name)
             .map(|r| &r.report)
-            .unwrap_or_else(|| panic!("no static report for {name}"))
-    };
-    let tick = || {
+            .unwrap_or_else(|| panic!("no static report for {name}"));
         let finished = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
         diag::progress("lint-crossval", finished, total);
+        CrossRow::new(name, stat.has_architectural_violations(), &mega)
+            .with_spec(stat.has_transient_violations(), &adv)
     };
-    let mut rows = microsampler_par::map(&primitives, |_, prim| {
-        let first = prim
-            .run(
-                CoreConfig::mega_boom(),
-                scale.primitive_trials,
-                scale.seed,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name));
-        let outcome = analyzer.analyze_with_escalation(first.result.iterations, 4, |round| {
-            prim.run(
-                CoreConfig::mega_boom(),
-                scale.primitive_trials * 2,
-                scale.seed + round as u64 * 7919,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name))
-            .result
-            .iterations
-        });
-        let adv = prim
-            .run(
-                adversarial_config(scale.seed),
-                scale.primitive_trials,
-                scale.seed,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name));
-        let adv_outcome = analyzer.analyze_with_escalation(adv.result.iterations, 2, |round| {
-            prim.run(
-                adversarial_config(scale.seed + round as u64),
-                scale.primitive_trials * 2,
-                scale.seed + round as u64 * 7919,
-                TraceConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{}: {e}", prim.name))
-            .result
-            .iterations
-        });
-        let stat = static_for(prim.name);
-        tick();
-        CrossRow::new(prim.name, stat.has_architectural_violations(), &outcome.report)
-            .with_spec(stat.has_transient_violations(), &adv_outcome.report)
-    });
+    let mut rows = microsampler_par::map(&primitives, |_, p| row(p.name, 4, &primitive_batch(p)));
     rows.extend(microsampler_par::map(&fixture_list, |_, f| {
-        let run = |config: CoreConfig, trials: u64, seed: u64| {
-            fixtures::run_fixture(f, config, trials, seed, TraceConfig::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", f.name))
-                .iterations
+        let batch = |config, trials: usize, seed| {
+            fixtures::run_fixture(f, config, trials as u64, seed, TraceConfig::default())
+                .map(|result| PrimitiveOutcome { result, functional_ok: true })
+                .map_err(|e| format!("{}: {e}", f.name))
         };
-        let trials = scale.primitive_trials as u64;
-        let arch = analyzer.analyze_with_escalation(
-            run(CoreConfig::mega_boom(), trials, scale.seed),
-            2,
-            |round| run(CoreConfig::mega_boom(), trials * 2, scale.seed + round as u64 * 7919),
-        );
-        let adv = analyzer.analyze_with_escalation(
-            run(adversarial_config(scale.seed), trials, scale.seed),
-            2,
-            |round| {
-                run(
-                    adversarial_config(scale.seed + round as u64),
-                    trials * 2,
-                    scale.seed + round as u64 * 7919,
-                )
-            },
-        );
-        let stat = static_for(f.name);
-        tick();
-        CrossRow::new(f.name, stat.has_architectural_violations(), &arch.report)
-            .with_spec(stat.has_transient_violations(), &adv.report)
+        row(f.name, 2, &batch)
     }));
     CrossReport { rows }
 }

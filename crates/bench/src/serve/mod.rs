@@ -345,7 +345,6 @@ impl ServeState {
                 sequential: job.spec.sequential.then(SeqConfig::default),
                 ..SweepOptions::default()
             };
-            sweep::reset_events();
             let out = sweep::run_modexp_sweep(
                 job.spec.kernel,
                 &config,

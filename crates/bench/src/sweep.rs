@@ -2,16 +2,14 @@
 //! isolation with bounded retry, and a JSONL journal enabling
 //! checkpoint/resume (`repro --resume`).
 //!
-//! Every modexp key trial runs here: [`run_modexp_iterations`] is
-//! [`run_modexp_sweep`] under the installed [`SweepOptions`]. Each trial
+//! Every modexp key trial runs here: [`RunContext::modexp_iterations`] is
+//! [`run_modexp_sweep`] under the context's [`SweepOptions`]. Each trial
 //! runs behind [`microsampler_par::run_isolated`]: a trial that
 //! deadlocks, exhausts its cycle budget, or panics is *quarantined* — the
 //! sweep completes with partial results and the quarantine list flows into
 //! the `repro --json` run report instead of sinking hours of work. A
 //! caller that did not ask for [`SweepOptions::isolate`] gets a panic
 //! naming the quarantined trial instead of partial results.
-//!
-//! [`run_modexp_iterations`]: crate::run_modexp_iterations
 //!
 //! # Journal format
 //!
@@ -35,6 +33,7 @@
 //! refuses a journal appends its own header before its trials, and
 //! [`load_journal`] reads only the segment after the last header.
 
+use crate::Scale;
 use microsampler_core::{SeqConfig, SequentialAnalyzer, StopTrace, STOP_SCHEMA};
 use microsampler_kernels::inputs::random_keys;
 use microsampler_kernels::modexp::{self, ModexpError, ModexpKernel, ModexpVariant};
@@ -49,7 +48,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Schema tag on every trial journal line.
@@ -62,11 +61,8 @@ pub const HEARTBEAT_SCHEMA: &str = "microsampler-heartbeat-v1";
 /// carrying the sweep config hash that `--resume` validates.
 pub const HEADER_SCHEMA: &str = "microsampler-journal-header-v1";
 
-/// Harness-wide sweep configuration, installed by the `repro` CLI via
-/// [`set_options`] and consulted by
-/// [`run_modexp_iterations`](crate::run_modexp_iterations). The default
-/// (also used when none are installed) injects no faults, keeps no
-/// journal, and panics on a quarantined trial.
+/// Sweep configuration, carried by a [`RunContext`]. The default injects
+/// no faults, keeps no journal, and panics on a quarantined trial.
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
     /// Fault-injection rates applied to every trial (re-seeded per trial
@@ -75,10 +71,10 @@ pub struct SweepOptions {
     /// Trial index whose core is wedged at [`microsampler_sim::WEDGE_CYCLE`]
     /// (a deliberate deadlock, for exercising quarantine end-to-end).
     pub wedge_trial: Option<usize>,
-    /// What [`run_modexp_iterations`](crate::run_modexp_iterations) does
-    /// when a trial is quarantined: return the surviving trials'
-    /// iterations (`true`) or panic naming the trial (`false`). `repro`
-    /// sets it whenever a sweep flag is given.
+    /// What [`RunContext::modexp_iterations`] does when a trial is
+    /// quarantined: return the surviving trials' iterations (`true`) or
+    /// panic naming the trial (`false`). `repro` sets it whenever a sweep
+    /// flag is given.
     pub isolate: bool,
     /// Retry/timeout policy for isolated trials.
     pub policy: IsolationPolicy,
@@ -104,22 +100,87 @@ pub struct SweepOptions {
     pub sequential: Option<SeqConfig>,
 }
 
-static OPTIONS: Mutex<Option<SweepOptions>> = Mutex::new(None);
-
-/// Installs (or clears) the process-wide sweep options.
-pub fn set_options(opts: Option<SweepOptions>) {
-    *OPTIONS.lock().unwrap_or_else(|p| p.into_inner()) = opts;
+/// What one run threads through its experiments: the [`Scale`], the
+/// [`SweepOptions`] every modexp sweep runs under, and the trial tally
+/// behind the run report's `trials` section. `repro` builds one per
+/// experiment. The tally sits behind a mutex because Table V records
+/// quarantined primitives from pool workers.
+#[derive(Debug, Default)]
+pub struct RunContext {
+    /// Experiment scale.
+    pub scale: Scale,
+    /// Options for every modexp sweep run in this context.
+    pub options: SweepOptions,
+    tally: Mutex<Tally>,
 }
 
-/// The currently installed sweep options, if any.
+impl RunContext {
+    /// A context with an empty tally.
+    pub fn new(scale: Scale, options: SweepOptions) -> RunContext {
+        RunContext { scale, options, tally: Mutex::default() }
+    }
+
+    /// Runs [`run_modexp_sweep`] under the context's options, adds its
+    /// outcome to the tally, and returns the pooled iterations.
+    ///
+    /// # Panics
+    ///
+    /// If a trial is quarantined (it failed to assemble or simulate, or
+    /// its result diverged from the reference model) and the options do
+    /// not set [`isolate`](SweepOptions::isolate); the message names the
+    /// trial. With `isolate` set, the surviving trials' iterations are
+    /// returned instead.
+    pub fn modexp_iterations(
+        &self,
+        variant: ModexpVariant,
+        config: &CoreConfig,
+        n_keys: usize,
+        key_bytes: usize,
+        seed: u64,
+    ) -> Vec<IterationTrace> {
+        let out = run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &self.options);
+        self.tally().add(&out);
+        if let (Some(q), false) = (out.quarantined.first(), self.options.isolate) {
+            panic!("trial {} failed ({}): {}", q.id, q.class, q.message);
+        }
+        out.iterations
+    }
+
+    /// Adds a trial that failed outside a sweep (a Table V primitive) to
+    /// the tally's quarantine list.
+    pub(crate) fn quarantine(&self, q: QuarantinedTrial) {
+        self.tally().quarantined.push(q);
+    }
+
+    /// The tally as the run report's `trials` section.
+    pub fn trials_to_json(&self) -> Value {
+        self.tally().to_json()
+    }
+
+    fn tally(&self) -> MutexGuard<'_, Tally> {
+        self.tally.lock().unwrap_or_else(|p| p.into_inner())
+    }
+}
+
+/// No-op. Sweep options and trial tallies travel in a `RunContext`; this,
+/// `options` and `reset_events` stay only because the benchmark under
+/// `perfbench/` still calls them, and go with the next benchmark change.
+#[doc(hidden)]
+pub fn set_options(_: Option<SweepOptions>) {}
+
+/// No-op that always returns `None`; see `set_options`.
+#[doc(hidden)]
 pub fn options() -> Option<SweepOptions> {
-    OPTIONS.lock().unwrap_or_else(|p| p.into_inner()).clone()
+    None
 }
 
-/// Trial counts of the sweeps run since the last [`reset_events`], for
-/// the run report's `trials` section. Each sweep adds its
-/// [`SweepOutcome`] once, so the tally stays a few counters plus the
-/// quarantine list however many trials run.
+/// No-op; see `set_options`.
+#[doc(hidden)]
+pub fn reset_events() {}
+
+/// Trial counts of a context's sweeps, for the run report's `trials`
+/// section. Each sweep adds its [`SweepOutcome`] once, so the tally stays
+/// a few counters plus the quarantine list however many trials run.
 #[derive(Debug, Default)]
 struct Tally {
     completed: usize,
@@ -158,34 +219,6 @@ impl Tally {
             .field("quarantined", Value::Array(quarantined.collect()))
             .build()
     }
-}
-
-static TALLY: Mutex<Tally> = Mutex::new(Tally {
-    completed: 0,
-    restored: 0,
-    cancelled: 0,
-    early_stopped: 0,
-    quarantined: Vec::new(),
-});
-
-fn tally() -> std::sync::MutexGuard<'static, Tally> {
-    TALLY.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Clears the trial tally (call per experiment).
-pub fn reset_events() {
-    *tally() = Tally::default();
-}
-
-/// Adds a trial that failed outside a sweep (a Table V primitive) to the
-/// tally's quarantine list.
-pub(crate) fn tally_quarantined(q: QuarantinedTrial) {
-    tally().quarantined.push(q);
-}
-
-/// Renders the trial tally for the run report.
-pub fn events_to_json() -> Value {
-    tally().to_json()
 }
 
 /// A trial dropped from the pooled results after exhausting its retries.
@@ -893,8 +926,8 @@ fn open_journal(path: &Path, config_hash: &str, new_segment: bool) -> Option<Mut
 }
 
 /// Runs a modexp variant over `n_keys` random keys with per-trial fault
-/// isolation, journaling, and resume, per `opts`, and adds the outcome
-/// to the run report's trial tally.
+/// isolation, journaling, and resume, per `opts`. The caller tallies the
+/// outcome.
 ///
 /// Trial ids are stable across invocations (variant, core config,
 /// key-bytes, seed, key index), so a journal written at one thread count
@@ -1129,7 +1162,6 @@ pub fn run_modexp_sweep(
             None => unreachable!("every non-restored index has an outcome"),
         }
     }
-    tally().add(&out);
     out
 }
 

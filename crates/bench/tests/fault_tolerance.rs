@@ -1,23 +1,21 @@
 //! Crash-resilient sweep harness integration tests: quarantine of wedged
 //! trials, journal/resume, cross-thread-count determinism of injected
-//! faults, retry classification for budget exhaustion, and
-//! `run_modexp_iterations` as a plain call of the same sweep.
+//! faults, retry classification for budget exhaustion, and the run
+//! context's sweep and trial tally.
+//!
+//! Each sweep returns its own `SweepOutcome` and each context keeps its
+//! own tally, so the tests run concurrently. The one process-wide setting
+//! they change is the thread override, which no result depends on.
 
-use microsampler_bench::run_modexp_iterations;
-use microsampler_bench::sweep::{self, SweepOptions};
+use microsampler_bench::sweep::{self, RunContext, SweepOptions};
+use microsampler_bench::{run_modexp_iterations, Scale};
 use microsampler_kernels::modexp::ModexpVariant;
 use microsampler_obs::{diag, json, Value};
 use microsampler_par::{FailureClass, IsolationPolicy};
-use microsampler_sim::{CoreConfig, FaultConfig};
+use microsampler_sim::{CoreConfig, FaultConfig, IterationTrace};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// The thread override, the sweep options and the trial tally are
-/// process-global; serialize every test that touches them. Tests take the
-/// lock through a poison, so one failing test does not turn every later
-/// one into a `PoisonError`.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("microsampler-ft-{name}-{}.jsonl", std::process::id()))
@@ -27,43 +25,40 @@ fn sweep_with(opts: &SweepOptions, n_keys: usize, seed: u64) -> sweep::SweepOutc
     sweep::run_modexp_sweep(ModexpVariant::V2Safe, &CoreConfig::mega_boom(), n_keys, 1, seed, opts)
 }
 
-/// [`run_modexp_iterations`] over the keys [`sweep_with`] runs.
-fn iterations(n_keys: usize, seed: u64) -> Vec<microsampler_sim::IterationTrace> {
-    run_modexp_iterations(ModexpVariant::V2Safe, &CoreConfig::mega_boom(), n_keys, 1, seed)
+/// [`RunContext::modexp_iterations`] over the keys [`sweep_with`] runs.
+fn iterations(ctx: &RunContext, n_keys: usize, seed: u64) -> Vec<IterationTrace> {
+    ctx.modexp_iterations(ModexpVariant::V2Safe, &CoreConfig::mega_boom(), n_keys, 1, seed)
+}
+
+fn context(opts: SweepOptions) -> RunContext {
+    RunContext::new(Scale::default(), opts)
 }
 
 #[test]
 fn wedged_trial_is_quarantined_and_the_sweep_completes() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    sweep::reset_events();
-    let opts = SweepOptions { wedge_trial: Some(1), isolate: true, ..SweepOptions::default() };
-    let out = sweep_with(&opts, 3, 42);
-    assert_eq!(out.completed, 2, "the two healthy trials must finish");
-    assert_eq!(out.restored, 0);
-    assert_eq!(out.quarantined.len(), 1);
-    let q = &out.quarantined[0];
-    assert!(q.id.ends_with("key0001"), "trial 1 was the wedged one: {}", q.id);
-    assert_eq!(q.class, FailureClass::SimError);
-    assert_eq!(q.attempts, 2, "the default policy retries a sim error once");
-    assert!(q.message.contains("deadlock"), "{}", q.message);
-    assert!(!out.iterations.is_empty(), "partial results survive the quarantine");
-    // The registry feeds the --json run report.
-    let v = sweep::events_to_json();
-    assert_eq!(v.get("completed").unwrap().as_u64(), Some(2));
+    let ctx = context(SweepOptions { wedge_trial: Some(1), isolate: true, ..Default::default() });
+    let iters = iterations(&ctx, 3, 42);
+    assert!(!iters.is_empty(), "partial results survive the quarantine");
+    // The context's tally feeds the --json run report.
+    let v = ctx.trials_to_json();
+    assert_eq!(v.get("completed").unwrap().as_u64(), Some(2), "the two healthy trials finish");
+    assert_eq!(v.get("restored").unwrap().as_u64(), Some(0));
     let listed = v.get("quarantined").unwrap().as_array().unwrap();
     assert_eq!(listed.len(), 1);
-    assert_eq!(listed[0].get("class").unwrap().as_str(), Some("sim-error"));
-    sweep::reset_events();
+    let q = |key: &str| listed[0].get(key).unwrap().clone();
+    let id = q("id");
+    assert!(id.as_str().unwrap().ends_with("key0001"), "trial 1 was the wedged one: {id:?}");
+    assert_eq!(q("class").as_str(), Some("sim-error"));
+    assert_eq!(q("attempts").as_u64(), Some(2), "the default policy retries a sim error once");
+    assert!(q("message").as_str().unwrap().contains("deadlock"), "{:?}", q("message"));
 }
 
 #[test]
 fn journal_resume_reruns_only_the_missing_trials() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let path = tmp("resume");
     std::fs::write(&path, "").unwrap();
 
     // Pass 1: trial 1 wedges; three of four trials land in the journal.
-    sweep::reset_events();
     let opts = SweepOptions {
         wedge_trial: Some(1),
         journal: Some(path.clone()),
@@ -75,7 +70,6 @@ fn journal_resume_reruns_only_the_missing_trials() {
     assert_eq!(first.quarantined.len(), 1);
 
     // Pass 2: resume without the wedge; only trial 1 re-runs.
-    sweep::reset_events();
     let opts = SweepOptions {
         journal: Some(path.clone()),
         resume: true,
@@ -86,15 +80,10 @@ fn journal_resume_reruns_only_the_missing_trials() {
     assert_eq!(second.restored, 3, "journaled trials are not re-run");
     assert_eq!(second.completed, 1, "only the previously-wedged trial runs");
     assert!(second.quarantined.is_empty());
-    let v = sweep::events_to_json();
-    assert_eq!(v.get("restored").unwrap().as_u64(), Some(3));
-    sweep::reset_events();
 
     // The journal now covers all four trials; a third resume runs nothing.
-    sweep::reset_events();
     let third = sweep_with(&opts, 4, 7);
     assert_eq!((third.restored, third.completed), (4, 0));
-    sweep::reset_events();
     std::fs::remove_file(&path).ok();
 
     // A restored-and-patched sweep is bit-identical to an uninterrupted
@@ -112,7 +101,6 @@ fn journal_resume_reruns_only_the_missing_trials() {
 /// quarantined wedged trial re-runs.
 #[test]
 fn journal_from_the_tree_encoder_still_resumes() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let path = tmp("tree-encoder");
     let data = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/trial-journal-v1.jsonl");
     std::fs::copy(data, &path).unwrap();
@@ -123,7 +111,6 @@ fn journal_from_the_tree_encoder_still_resumes() {
         drop_row_per_64k: 200,
         ..FaultConfig::default()
     });
-    sweep::reset_events();
     let opts = SweepOptions {
         faults,
         journal: Some(path.clone()),
@@ -136,13 +123,11 @@ fn journal_from_the_tree_encoder_still_resumes() {
     assert_eq!((resumed.restored, resumed.completed), (2, 1), "{:?}", resumed.quarantined);
     let fresh =
         sweep_with(&SweepOptions { faults, isolate: true, ..SweepOptions::default() }, 3, 42);
-    sweep::reset_events();
     assert_eq!(resumed.iterations, fresh.iterations);
 }
 
 #[test]
 fn injected_fault_schedules_are_thread_count_invariant() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let faults = FaultConfig {
         seed: 0x0051_ee93,
         squash_per_64k: 500,
@@ -154,7 +139,6 @@ fn injected_fault_schedules_are_thread_count_invariant() {
     };
     let run = |threads: usize, faults: Option<FaultConfig>| {
         microsampler_par::set_threads(Some(threads));
-        sweep::reset_events();
         let opts = SweepOptions { faults, isolate: true, ..SweepOptions::default() };
         let out = sweep::run_modexp_sweep(
             ModexpVariant::V1MicroarchVuln,
@@ -165,7 +149,6 @@ fn injected_fault_schedules_are_thread_count_invariant() {
             &opts,
         );
         microsampler_par::set_threads(None);
-        sweep::reset_events();
         out
     };
     let serial = run(1, Some(faults));
@@ -183,8 +166,6 @@ fn injected_fault_schedules_are_thread_count_invariant() {
 
 #[test]
 fn quarantined_trial_still_ticks_progress_and_heartbeat() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    sweep::reset_events();
     let journal = tmp("heartbeat");
     std::fs::write(&journal, "").unwrap();
     let capture = Arc::new(Mutex::new(String::new()));
@@ -196,16 +177,18 @@ fn quarantined_trial_still_ticks_progress_and_heartbeat() {
         isolate: true,
         ..SweepOptions::default()
     };
-    let out = sweep_with(&opts, 3, 42);
+    // Five keys, which no other test here sweeps, so the progress lines
+    // other tests print into the capture meanwhile cannot reach 5/5.
+    let out = sweep_with(&opts, 5, 42);
     diag::set_capture(None);
     diag::set_progress(false);
-    assert_eq!(out.completed, 2);
+    assert_eq!(out.completed, 4);
     assert_eq!(out.quarantined.len(), 1);
 
     // The wedged trial must still count toward progress: without the
-    // final-attempt tick the heartbeat stalls at 2/3 forever.
+    // final-attempt tick the heartbeat stalls at 4/5 forever.
     let stderr = capture.lock().unwrap().clone();
-    assert!(stderr.contains(": 3/3"), "progress must reach 3/3, got:\n{stderr}");
+    assert!(stderr.contains("ME-V2-Safe: 5/5"), "progress must reach 5/5, got:\n{stderr}");
 
     // Heartbeat JSONL events are interleaved with the trial records, are
     // well-formed, and the final one reports completed == total.
@@ -219,26 +202,17 @@ fn quarantined_trial_still_ticks_progress_and_heartbeat() {
         .collect();
     assert!(!heartbeats.is_empty(), "the sweep must emit heartbeat events");
     for hb in &heartbeats {
-        assert_eq!(hb.get("total").unwrap().as_u64(), Some(3));
+        assert_eq!(hb.get("total").unwrap().as_u64(), Some(5));
         assert!(hb.get("completed").unwrap().as_u64().is_some());
         assert!(hb.get("elapsed_sec").unwrap().as_f64().is_some());
         assert!(hb.get("trials_per_sec").unwrap().as_f64().is_some());
     }
     let last = heartbeats.last().unwrap();
-    assert_eq!(last.get("completed").unwrap().as_u64(), Some(3), "final heartbeat covers all");
-
-    // And the quarantined trial's metric merge is not poisoned: the event
-    // registry records exactly one quarantine alongside the completions.
-    let v = sweep::events_to_json();
-    assert_eq!(v.get("completed").unwrap().as_u64(), Some(2));
-    assert_eq!(v.get("quarantined").unwrap().as_array().unwrap().len(), 1);
-    sweep::reset_events();
+    assert_eq!(last.get("completed").unwrap().as_u64(), Some(5), "final heartbeat covers all");
 }
 
 #[test]
 fn exhausted_cycle_budget_is_quarantined_after_retry() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    sweep::reset_events();
     let opts = SweepOptions { isolate: true, max_cycles: Some(500), ..SweepOptions::default() };
     let out = sweep_with(&opts, 2, 5);
     assert_eq!(out.completed, 0);
@@ -248,46 +222,37 @@ fn exhausted_cycle_budget_is_quarantined_after_retry() {
         assert_eq!(q.attempts, 2, "OutOfCycles is retried once, then quarantined");
         assert!(q.message.contains("cycle budget"), "{}", q.message);
     }
-    let v = sweep::events_to_json();
-    assert_eq!(v.get("completed").unwrap().as_u64(), Some(0));
-    assert_eq!(v.get("quarantined").unwrap().as_array().unwrap().len(), 2);
-    sweep::reset_events();
 }
 
 #[test]
 fn plain_run_modexp_iterations_tallies_its_trials() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
-    sweep::set_options(None);
-    sweep::reset_events();
-    let iters = iterations(3, 42);
-    let v = sweep::events_to_json();
-    sweep::reset_events();
+    let ctx = RunContext::default();
+    let iters = iterations(&ctx, 3, 42);
+    let v = ctx.trials_to_json();
     assert!(!iters.is_empty());
     assert_eq!(v.get("completed").unwrap().as_u64(), Some(3), "{}", v.render_compact());
     assert!(v.get("quarantined").unwrap().as_array().unwrap().is_empty());
+    // `run_modexp_iterations` is the same sweep under a default context.
+    let plain = run_modexp_iterations(ModexpVariant::V2Safe, &CoreConfig::mega_boom(), 3, 1, 42);
+    assert_eq!(plain, iters);
 }
 
 #[test]
 fn quarantine_panics_unless_isolated() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let wedged = SweepOptions { wedge_trial: Some(1), ..SweepOptions::default() };
-    sweep::set_options(Some(wedged.clone()));
-    let panicked = std::panic::catch_unwind(|| iterations(3, 42));
-    sweep::set_options(Some(SweepOptions { isolate: true, ..wedged.clone() }));
-    let survivors = iterations(3, 42);
-    sweep::set_options(None);
-    sweep::reset_events();
+    let panicked = std::panic::catch_unwind(|| iterations(&context(wedged.clone()), 3, 42));
+    let isolated = SweepOptions { isolate: true, ..wedged };
+    let survivors = iterations(&context(isolated.clone()), 3, 42);
     let payload = panicked.expect_err("a quarantined trial fails an unisolated run");
     let message = payload.downcast_ref::<String>().expect("a formatted panic message");
     assert!(message.contains("key0001") && message.contains("sim-error"), "{message}");
-    let want = sweep_with(&SweepOptions { isolate: true, ..wedged }, 3, 42);
+    let want = sweep_with(&isolated, 3, 42);
     assert_eq!(want.completed, 2);
     assert_eq!(survivors, want.iterations, "isolated runs return the survivors");
 }
 
 #[test]
 fn timed_out_trials_tick_the_heartbeat_once_each() {
-    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let journal = tmp("timeout");
     std::fs::write(&journal, "").unwrap();
     let policy = IsolationPolicy { timeout: Some(Duration::ZERO), ..IsolationPolicy::default() };
@@ -295,7 +260,6 @@ fn timed_out_trials_tick_the_heartbeat_once_each() {
     let out = sweep_with(&opts, 3, 42);
     let text = std::fs::read_to_string(&journal).unwrap();
     std::fs::remove_file(&journal).ok();
-    sweep::reset_events();
     assert_eq!(out.quarantined.len(), 3, "a zero budget times out every trial");
     assert!(out.quarantined.iter().all(|q| q.class == FailureClass::TimedOut));
     assert!(!text.contains("\"status\":\"completed\""), "timed-out trials are not completed");

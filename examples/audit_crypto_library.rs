@@ -6,32 +6,20 @@
 //! cargo run --release --example audit_crypto_library
 //! ```
 
-use microsampler_core::Analyzer;
+use microsampler_bench::experiments::{escalate, primitive_batch};
 use microsampler_kernels::openssl::Primitive;
-use microsampler_sim::{CoreConfig, TraceConfig};
+use microsampler_sim::CoreConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let analyzer = Analyzer::new();
     let trials = 96;
     println!("{:<34} {:>6} {:>8} {:>7} {:>5}", "primitive", "func", "verdict", "maxV", "iters");
     let mut flagged = 0;
     for prim in Primitive::all() {
-        let first = prim.run(CoreConfig::mega_boom(), trials, 7, TraceConfig::default())?;
-        let mut functional = first.functional_ok;
-        let outcome = analyzer.analyze_with_escalation(first.result.iterations, 3, |round| {
-            match prim.run(
-                CoreConfig::mega_boom(),
-                trials * 2,
-                7 + round as u64 * 101,
-                TraceConfig::default(),
-            ) {
-                Ok(extra) => {
-                    functional &= extra.functional_ok;
-                    extra.result.iterations
-                }
-                Err(_) => Vec::new(),
-            }
-        });
+        // Table V's schedule: up to 3 rounds of twice as many trials, each
+        // at a fresh seed, while some unit's V is strong but not yet
+        // significant. A failed round ends the escalation.
+        let audit = escalate(trials, 7, 3, |_| CoreConfig::mega_boom(), primitive_batch(&prim))?;
+        let outcome = &audit.outcome;
         let max_v = outcome.report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max);
         let verdict = if outcome.report.is_leaky() {
             flagged += 1;
@@ -42,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:<34} {:>6} {:>8} {:>7.3} {:>5}",
             prim.name,
-            if functional { "ok" } else { "FAIL" },
+            if audit.functional_ok { "ok" } else { "FAIL" },
             verdict,
             max_v,
             outcome.total_iterations,

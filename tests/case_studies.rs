@@ -6,6 +6,7 @@
 //! scale that still clears statistical significance.
 
 use microsampler_bench::experiments as exp;
+use microsampler_bench::sweep::{RunContext, SweepOptions};
 use microsampler_bench::Scale;
 use microsampler_core::UnitId;
 
@@ -13,11 +14,15 @@ fn test_scale() -> Scale {
     Scale { keys: 6, key_bytes: 2, memcmp_reps: 8, primitive_trials: 48, seed: 42 }
 }
 
+fn ctx(scale: Scale) -> RunContext {
+    RunContext::new(scale, SweepOptions::default())
+}
+
 #[test]
 fn fig3_compiler_vuln_flags_broadly() {
     // ME-V1-CV needs a couple more keys than the other case studies for
     // every control-flow-side unit to clear significance.
-    let report = exp::fig3(&Scale { keys: 8, ..test_scale() });
+    let report = exp::fig3(&ctx(Scale { keys: 8, ..test_scale() }));
     assert!(report.is_leaky(), "ME-V1-CV must be flagged");
     // The compiler's unbalanced branch shows up in control-flow-side units
     // as well as memory-side units.
@@ -32,7 +37,7 @@ fn fig3_compiler_vuln_flags_broadly() {
 
 #[test]
 fn fig4_microarch_vuln_flags_memory_side_only() {
-    let report = exp::fig4(&test_scale());
+    let report = exp::fig4(&ctx(test_scale()));
     assert!(report.unit(UnitId::SqAddr).is_leaky(), "store addresses leak\n{report}");
     assert!(report.unit(UnitId::CacheAddr).is_leaky(), "cache requests leak\n{report}");
     // The instruction stream is identical for both classes: the PC-side
@@ -65,7 +70,7 @@ fn fig4_pressure_lights_up_miss_path_units() {
 
 #[test]
 fn fig5_unique_store_addresses_split_by_class() {
-    let uniq = exp::fig5(&test_scale());
+    let uniq = exp::fig5(&ctx(test_scale()));
     assert!(uniq.has_unique_features(), "each class must have unique store addresses");
     let bit0: Vec<u64> = uniq.unique[&0].iter().copied().collect();
     let bit1: Vec<u64> = uniq.unique[&1].iter().copied().collect();
@@ -95,14 +100,14 @@ fn fig6_timing_distributions() {
 
 #[test]
 fn fig7_safe_implementation_is_clean() {
-    let report = exp::fig7(&test_scale());
+    let report = exp::fig7(&ctx(test_scale()));
     assert!(!report.is_leaky(), "ME-V2-Safe must not be flagged\n{report}");
     assert!(!report.needs_more_samples(), "verdict must be statistically settled\n{report}");
 }
 
 #[test]
 fn fig9_fast_bypass_breaks_safe_code() {
-    let report = exp::fig9(&test_scale());
+    let report = exp::fig9(&ctx(test_scale()));
     assert!(report.is_leaky(), "fast bypass must break ME-V2-Safe\n{report}");
     // The skipped AND is a *content* difference: it survives timing
     // removal on the execution-unit trace (paper Fig. 9 orange bars).
@@ -134,7 +139,7 @@ fn fig10_memcmp_transient_execution_identified() {
 
 #[test]
 fn table2_contingency_is_well_formed() {
-    let t = exp::table2(&test_scale());
+    let t = exp::table2(&ctx(test_scale()));
     assert_eq!(t.class_count(), 2, "key bits give two classes");
     assert!(t.total() > 0);
     let a = t.association();

@@ -2,12 +2,13 @@
 //! functionally correct and statistically clean after escalation.
 
 use microsampler_bench::experiments::table5;
+use microsampler_bench::sweep::{RunContext, SweepOptions};
 use microsampler_bench::Scale;
 
 #[test]
 fn all_primitives_functional_and_clean() {
     let scale = Scale { primitive_trials: 64, ..Scale::default() };
-    let rows = table5(&scale);
+    let rows = table5(&RunContext::new(scale, SweepOptions::default()));
     assert_eq!(rows.len(), 27);
     for row in &rows {
         assert!(row.functional_ok, "{} diverged from its reference model", row.name);

@@ -21,6 +21,7 @@
 //! block to regenerate the file from.
 
 use microsampler_bench::experiments as exp;
+use microsampler_bench::sweep::{RunContext, SweepOptions};
 use microsampler_bench::{lint, Scale};
 use microsampler_core::AnalysisReport;
 use std::collections::BTreeMap;
@@ -52,9 +53,9 @@ fn report_line(artifact: &str, r: &AnalysisReport) -> String {
     line
 }
 
-fn table5_line(scale: &Scale) -> String {
+fn table5_line(ctx: &RunContext) -> String {
     let mut line = "table5".to_string();
-    for r in exp::table5(scale) {
+    for r in exp::table5(ctx) {
         line += &format!(
             " {}={}/{}/{}/{}",
             r.name,
@@ -84,14 +85,14 @@ fn lint_line(scale: &Scale) -> String {
 }
 
 fn actual_corpus() -> Vec<String> {
-    let scale = scale();
+    let ctx = RunContext::new(scale(), SweepOptions::default());
     vec![
-        report_line("fig3", &exp::fig3(&scale)),
-        report_line("fig4", &exp::fig4(&scale)),
-        report_line("fig7", &exp::fig7(&scale)),
-        report_line("fig9", &exp::fig9(&scale)),
-        table5_line(&scale),
-        lint_line(&scale),
+        report_line("fig3", &exp::fig3(&ctx)),
+        report_line("fig4", &exp::fig4(&ctx)),
+        report_line("fig7", &exp::fig7(&ctx)),
+        report_line("fig9", &exp::fig9(&ctx)),
+        table5_line(&ctx),
+        lint_line(&ctx.scale),
     ]
 }
 
