@@ -292,132 +292,74 @@ impl Primitive {
         trace: TraceConfig,
     ) -> Result<PrimitiveOutcome, ModexpError> {
         let trace = TraceConfig { warmup_iterations: WARMUP_TRIALS, ..trace };
-        match &self.kind {
-            Kind::Scalar { gen, reference, .. } => {
-                self.run_scalar(config, trials, seed, trace, *gen, *reference)
-            }
-            Kind::BigNum { gen, reference, .. } => {
-                self.run_bignum(config, trials, seed, trace, *gen, *reference)
-            }
-            Kind::SwapBuff => self.run_swap_buff(config, trials, seed, trace),
-            Kind::Lookup => self.run_lookup(config, trials, seed, trace),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_scalar(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-        gen: ScalarGen,
-        reference: ScalarRef,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
         let program = assemble(&self.source())?;
         let mut rng = StdRng::seed_from_u64(seed);
-        let total = WARMUP_TRIALS + trials;
-        let mut words = vec![total as u64];
-        let mut expected = Vec::with_capacity(total * 2);
-        for _ in 0..total {
-            let (inputs, label) = gen(&mut rng);
-            words.extend(inputs);
-            words.push(label);
-            let (r0, r1) = reference(inputs);
-            expected.push(r0);
-            expected.push(r1);
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let result = machine.run(500_000 + total as u64 * 20_000)?;
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_bignum(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-        gen: BnGen,
-        reference: BnRef,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = WARMUP_TRIALS + trials;
-        let mut words = vec![total as u64];
-        let mut expected = Vec::with_capacity(total);
-        for _ in 0..total {
-            let (a, b, label) = gen(&mut rng);
-            words.extend(a);
-            words.extend(b);
-            words.push(label);
-            expected.push(reference(&a, &b));
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let result = machine.run(500_000 + total as u64 * 30_000)?;
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
-    }
-
-    fn run_swap_buff(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let total = WARMUP_TRIALS + trials;
-        let mut words = vec![total as u64];
-        let mut expected = Vec::with_capacity(total * 8);
-        for _ in 0..total {
-            let do_swap: bool = rng.gen();
-            let a: [u64; 4] = rng.gen();
-            let b: [u64; 4] = rng.gen();
-            words.extend(a);
-            words.extend(b);
-            words.push(mask64(do_swap));
-            words.push(do_swap as u64); // label
-            let (ea, eb) = if do_swap { (b, a) } else { (a, b) };
-            expected.extend(ea);
-            expected.extend(eb);
-        }
-        let mut machine = Machine::with_trace_config(config, &program, trace);
-        machine.push_inputs(words);
-        let result = machine.run(500_000 + total as u64 * 30_000)?;
-        let outputs = machine.take_outputs();
-        Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
-    }
-
-    fn run_lookup(
-        &self,
-        config: CoreConfig,
-        trials: usize,
-        seed: u64,
-        trace: TraceConfig,
-    ) -> Result<PrimitiveOutcome, ModexpError> {
-        let program = assemble(&self.source())?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let table: Vec<u64> = (0..16).map(|_| rng.gen()).collect();
+        // The lookup kernel reads its table before the trial count.
+        let table: Vec<u64> = match self.kind {
+            Kind::Lookup => (0..16).map(|_| rng.gen()).collect(),
+            _ => Vec::new(),
+        };
         let total = WARMUP_TRIALS + trials;
         let mut words = table.clone();
         words.push(total as u64);
-        let mut expected = Vec::with_capacity(total);
+        let mut expected = Vec::new();
         for _ in 0..total {
-            let idx = rng.gen_range(0..16u64);
-            words.push(idx); // secret index doubles as the label
-            expected.push(table[idx as usize]);
+            self.trial(&mut rng, &table, &mut words, &mut expected);
         }
+        let cycles_per_trial = match self.kind {
+            Kind::Scalar { .. } => 20_000,
+            Kind::BigNum { .. } | Kind::SwapBuff => 30_000,
+            Kind::Lookup => 60_000,
+        };
         let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.push_inputs(words);
-        let result = machine.run(500_000 + total as u64 * 60_000)?;
+        let result = machine.run(500_000 + total as u64 * cycles_per_trial)?;
         let outputs = machine.take_outputs();
         Ok(PrimitiveOutcome { functional_ok: outputs == expected, result })
+    }
+
+    /// Draws one trial from `rng`: appends its input words (the class
+    /// label last) to `words` and its reference outputs to `expected`.
+    fn trial(
+        &self,
+        rng: &mut StdRng,
+        table: &[u64],
+        words: &mut Vec<u64>,
+        expected: &mut Vec<u64>,
+    ) {
+        match &self.kind {
+            Kind::Scalar { gen, reference, .. } => {
+                let (inputs, label) = gen(rng);
+                words.extend(inputs);
+                words.push(label);
+                let (r0, r1) = reference(inputs);
+                expected.extend([r0, r1]);
+            }
+            Kind::BigNum { gen, reference, .. } => {
+                let (a, b, label) = gen(rng);
+                words.extend(a);
+                words.extend(b);
+                words.push(label);
+                expected.push(reference(&a, &b));
+            }
+            Kind::SwapBuff => {
+                let do_swap: bool = rng.gen();
+                let a: [u64; 4] = rng.gen();
+                let b: [u64; 4] = rng.gen();
+                words.extend(a);
+                words.extend(b);
+                words.push(mask64(do_swap));
+                words.push(do_swap as u64); // label
+                let (ea, eb) = if do_swap { (b, a) } else { (a, b) };
+                expected.extend(ea);
+                expected.extend(eb);
+            }
+            Kind::Lookup => {
+                let idx = rng.gen_range(0..16u64);
+                words.push(idx); // secret index doubles as the label
+                expected.push(table[idx as usize]);
+            }
+        }
     }
 }
 
