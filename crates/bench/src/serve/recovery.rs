@@ -108,7 +108,8 @@ fn replay_line(
             let client = v.get("client").and_then(Value::as_str).unwrap_or("anon").to_owned();
             let spec = JobSpec::from_json(v.get("spec").ok_or("missing `spec`")?)
                 .map_err(|e| format!("bad spec: {e}"))?;
-            *next_seq = (*next_seq).max(seq + 1);
+            let after = seq.checked_add(1).ok_or("`seq` leaves no next sequence number")?;
+            *next_seq = (*next_seq).max(after);
             live.insert(id.clone(), PendingJob { seq, id, client, spec });
         }
         // Progress events carry no recovery state: a crash between
@@ -212,6 +213,149 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let e = got.unwrap_err();
         assert!(e.contains("line 2: bad spec:") && e.contains("at most 65536"), "{e}");
+    }
+
+    #[test]
+    fn a_seq_without_a_successor_is_refused_naming_the_line() {
+        let ok = JobHandle::new(0, "ci", JobSpec::default(), false);
+        let last = JobHandle::new(u64::MAX, "ci", JobSpec::default(), false);
+        let text = format!(
+            "{}\n{}\n",
+            submitted_event(&ok).render_compact(),
+            submitted_event(&last).render_compact()
+        );
+        assert!(text.contains("\"seq\":18446744073709551615"), "{text}");
+        let path = wal_path("seqmax");
+        std::fs::write(&path, text).unwrap();
+        let got = replay_wal(&path);
+        std::fs::remove_file(&path).ok();
+        let e = got.unwrap_err();
+        assert!(e.contains("line 2: `seq` leaves no next sequence number"), "{e}");
+    }
+
+    /// The WAL of three jobs: one done, one cancelled after a retry and
+    /// one still running.
+    fn real_wal_lines() -> Vec<String> {
+        let jobs: Vec<JobHandle> = (0..3)
+            .map(|seq| {
+                JobHandle::new(seq, "ci", JobSpec { seed: seq, ..JobSpec::default() }, false)
+            })
+            .collect();
+        let done = JobState::Done { leaky: false, verdict: Value::Null };
+        let mut lines: Vec<Value> = jobs.iter().map(submitted_event).collect();
+        lines.extend([
+            super::super::queue::started_event(&jobs[0].id, 1),
+            terminal_event(&jobs[0].id, &done).unwrap(),
+            super::super::queue::started_event(&jobs[1].id, 1),
+            super::super::queue::retrying_event(
+                &jobs[1].id,
+                1,
+                "timed out",
+                std::time::Duration::from_millis(5),
+            ),
+            terminal_event(&jobs[1].id, &JobState::Cancelled).unwrap(),
+            super::super::queue::started_event(&jobs[2].id, 1),
+        ]);
+        lines.iter().map(Value::render_compact).collect()
+    }
+
+    /// Lines no daemon writes: wrong types, missing fields, out-of-range
+    /// sequence numbers, oversized specs and nesting far past the JSON
+    /// parser's limit.
+    fn garbage_wal_lines() -> Vec<String> {
+        let submitted = |seq: &str, spec: &str| {
+            format!(
+                "{{\"schema\":\"{WAL_SCHEMA}\",\"event\":\"submitted\",\"job\":\"j\",\
+                 \"seq\":{seq},\"spec\":{spec}}}"
+            )
+        };
+        let spec = JobSpec::default().to_json().render_compact();
+        let mut lines: Vec<String> =
+            ["", "{", "not json", "null", "[]", "{\"schema\":7}"].map(String::from).to_vec();
+        lines.extend([
+            format!("{{\"schema\":\"{WAL_SCHEMA}\"}}"),
+            format!("{{\"schema\":\"{WAL_SCHEMA}\",\"event\":7,\"job\":\"j\"}}"),
+            format!("{{\"schema\":\"{WAL_SCHEMA}\",\"event\":\"warp\",\"job\":\"j\"}}"),
+            submitted("18446744073709551615", &spec),
+            submitted("18446744073709551616", &spec),
+            submitted("-1", &spec),
+            submitted("1.5", &spec),
+            submitted("\"7\"", &spec),
+            submitted("3", "[]"),
+            submitted("3", "{\"keys\":1099511627776}"),
+            "[".repeat(100_000),
+        ]);
+        lines
+    }
+
+    /// Cuts `s` at byte `at % (s.len() + 1)`, backing off to a char
+    /// boundary.
+    fn cut(s: &mut String, at: usize) {
+        let mut len = at % (s.len() + 1);
+        while !s.is_char_boundary(len) {
+            len -= 1;
+        }
+        s.truncate(len);
+    }
+
+    /// Real WAL lines truncated, duplicated, reordered, deleted or
+    /// interleaved with garbage, then cut at a random byte.
+    fn mangled_wal(edits: &[(u8, usize, usize)], end: usize) -> String {
+        let mut lines = real_wal_lines();
+        let garbage = garbage_wal_lines();
+        for &(op, at, arg) in edits {
+            let (i, j) = (at % lines.len(), arg % lines.len());
+            match op {
+                0 => cut(&mut lines[i], arg),
+                1 => lines.insert(i, lines[i].clone()),
+                2 => lines.swap(i, j),
+                3 => lines.insert(i, garbage[arg % garbage.len()].clone()),
+                4 if lines.len() > 1 => drop(lines.remove(i)),
+                _ => {}
+            }
+        }
+        let mut text = lines.join("\n");
+        cut(&mut text, end);
+        text
+    }
+
+    static MANGLED_CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// Mangled WALs ([`mangled_wal`]) replay to `Ok` or to an error
+        /// naming one of the file's lines — never a panic.
+        #[test]
+        fn replay_wal_never_panics_on_mangled_wals(
+            edits in proptest::collection::vec(
+                (0u8..5, proptest::prelude::any::<usize>(), proptest::prelude::any::<usize>()),
+                0..12,
+            ),
+            end in proptest::prelude::any::<usize>(),
+        ) {
+            let text = mangled_wal(&edits, end);
+            let line_count = text.lines().count();
+            let case = MANGLED_CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let path = wal_path(&format!("mangled-{case}"));
+            std::fs::write(&path, &text).unwrap();
+            let got = std::panic::catch_unwind(|| replay_wal(&path));
+            std::fs::remove_file(&path).ok();
+            match got {
+                Ok(Ok(_)) => {}
+                Ok(Err(e)) => {
+                    let line = e
+                        .split(" line ")
+                        .nth(1)
+                        .and_then(|rest| rest.split(':').next())
+                        .and_then(|n| n.parse::<usize>().ok());
+                    proptest::prop_assert!(
+                        line.is_some_and(|n| (1..=line_count).contains(&n)),
+                        "{e}: not one of the WAL's {line_count} lines"
+                    );
+                }
+                Err(_) => panic!("replay_wal panicked on:\n{text}"),
+            }
+        }
     }
 
     #[test]

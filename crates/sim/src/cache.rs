@@ -176,18 +176,19 @@ impl Cache {
     /// frees their MSHRs/LFBs.
     pub fn tick(&mut self, now: u64) {
         let held = self.lfbs.len() + self.mshrs.len();
-        let mut installed = Vec::new();
-        self.lfbs.retain(|l| {
+        // Taken out for the pass so that `install`, which never reads the
+        // buffers, can borrow the cache: completed fills install in buffer
+        // order without collecting them first.
+        let mut lfbs = std::mem::take(&mut self.lfbs);
+        lfbs.retain(|l| {
             if l.ready_cycle <= now {
-                installed.push(l.line_addr);
+                self.install(l.line_addr);
                 false
             } else {
                 true
             }
         });
-        for line in installed {
-            self.install(line);
-        }
+        self.lfbs = lfbs;
         self.mshrs.retain(|m| m.ready_cycle > now);
         self.buffer_changes += (held - self.lfbs.len() - self.mshrs.len()) as u64;
     }
