@@ -957,10 +957,12 @@ fn submit_main(args: &[String]) -> ExitCode {
             }
         };
         println!("{line}");
-        let Ok(v) = json::parse(&line) else { continue };
-        if v.get("schema").and_then(Value::as_str) != Some("microsampler-serve-v1") {
+        // Trial lines are most of the stream and tens of KB each: read
+        // only up to their schema.
+        if !microsampler_bench::serve::session::is_serve_line(&line) {
             continue;
         }
+        let Ok(v) = json::parse(&line) else { continue };
         match v.get("event").and_then(Value::as_str) {
             Some("busy") => return ExitCode::from(6),
             Some("error") => return ExitCode::FAILURE,

@@ -31,6 +31,27 @@ use std::time::{Duration, Instant};
 /// Schema tag on every protocol response line.
 pub const SERVE_SCHEMA: &str = "microsampler-serve-v1";
 
+/// Whether `line` is a JSON object whose `schema` (its first, as
+/// [`Value::get`] finds it) is [`SERVE_SCHEMA`]. Only the keys before
+/// `schema` are read, so a forwarded trial-journal line, which leads with
+/// its own schema, costs a few bytes rather than a parse. The rest of the
+/// line is not checked.
+pub fn is_serve_line(line: &str) -> bool {
+    let mut r = json::Reader::new(line);
+    if r.begin_object().is_err() {
+        return false;
+    }
+    while let Ok(Some(key)) = r.next_key() {
+        if key == "schema" {
+            return matches!(r.read_str(), Ok(Some(schema)) if schema == SERVE_SCHEMA);
+        }
+        if r.skip_value().is_err() {
+            return false;
+        }
+    }
+    false
+}
+
 /// How long a connected client may sit silent before its request slot
 /// is reclaimed.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
@@ -304,6 +325,35 @@ fn terminal_response(job: &JobHandle, state: &super::queue::JobState) -> Value {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
+
+    #[test]
+    fn serve_lines_are_told_apart_as_a_parse_would() {
+        let lines = [
+            r#"{"schema":"microsampler-serve-v1","event":"verdict","status":"done"}"#,
+            r#"{"event":"busy","schema":"microsampler-serve-v1"}"#,
+            r#"  {"sch\u0065ma":"microsampler-serve-v1"}"#,
+            r#"{"schema":"microsampler-serve-v1","schema":"other"}"#,
+            r#"{"schema":"other","schema":"microsampler-serve-v1"}"#,
+            r#"{"schema":7,"event":"verdict"}"#,
+            r#"{"schema":"microsampler-trial-v1","id":"k","status":"completed"}"#,
+            r#"{"event":"verdict"}"#,
+            r#"{"schema":"microsampler-serve-v1","event":"verdict""#,
+            r#"{"schema":"microsampler-serve-v1"} trailing"#,
+            r#"["schema","microsampler-serve-v1"]"#,
+            r#"{"a":[1,{"b":null}],"schema":"microsampler-serve-v1"}"#,
+            r#"{"a":[1,,"schema":"microsampler-serve-v1"}"#,
+            "not json",
+            "",
+        ];
+        for line in lines {
+            // `repro submit` acts on a line when both hold; that must be
+            // exactly the lines a full parse finds the schema in.
+            let by_reader = is_serve_line(line) && json::parse(line).is_ok();
+            let by_parse = json::parse(line)
+                .is_ok_and(|v| v.get("schema").and_then(Value::as_str) == Some(SERVE_SCHEMA));
+            assert_eq!(by_reader, by_parse, "{line}");
+        }
+    }
 
     /// Daemon state in a fresh temporary directory, with no executor
     /// running: each test runs its job itself, or never.

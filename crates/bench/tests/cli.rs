@@ -131,6 +131,35 @@ fn wedged_sweep_completes_quarantines_and_resumes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Each experiment's run report counts only its own sweeps, and a sweep
+/// resumes from the trials an earlier experiment of the same run wrote:
+/// fig5 runs fig4's sweep again, so resuming an empty journal completes
+/// fig4's two keys and restores them for fig5.
+#[test]
+fn each_report_tallies_its_own_experiment_and_restores_in_run() {
+    let dir = tmp_dir("in-run");
+    let journal = dir.join("trials.jsonl");
+    let reports = dir.join("reports");
+    std::fs::write(&journal, "").unwrap();
+    let out = repro()
+        .args(["fig4", "fig5", "--keys", "2", "--key-bytes", "1", "--resume"])
+        .arg(&journal)
+        .arg("--json")
+        .arg(&reports)
+        .output()
+        .expect("repro runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let counts = |experiment: &str| {
+        let report = parse_report(&reports.join(format!("{experiment}.json")));
+        let trials = report.get("trials").unwrap().clone();
+        let n = |key: &str| trials.get(key).and_then(Value::as_u64);
+        (n("restored"), n("completed"))
+    };
+    assert_eq!(counts("fig4"), (Some(0), Some(2)), "fig4 runs both keys");
+    assert_eq!(counts("fig5"), (Some(2), Some(0)), "fig5 restores fig4's trials");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Resuming a journal recorded under different FaultConfig rates (or a
 /// different fault seed) would mix trials from two distributions into
 /// one statistic; the CLI must refuse with exit 2 and name the hashes.
