@@ -587,3 +587,53 @@ pub fn fig4_with_pressure(scale: &Scale) -> AnalysisReport {
     let iters: Vec<_> = per_key.into_iter().flatten().collect();
     analyze(&iters)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `constant_time_eq` at 4 trials from seed 42 shows strong but
+    /// insignificant association, so the schedule escalates.
+    fn eq() -> Primitive {
+        Primitive::all().into_iter().find(|p| p.name == "constant_time_eq").expect("a primitive")
+    }
+
+    #[test]
+    fn escalation_runs_doubled_batches_at_the_table5_seeds() {
+        let prim = eq();
+        let (calls, configs) = (std::cell::RefCell::new(Vec::new()), std::cell::RefCell::new(0));
+        let config = |round| {
+            *configs.borrow_mut() += 1;
+            assert!(round <= 2, "round {round} past max_rounds");
+            CoreConfig::mega_boom()
+        };
+        let batch = |config, trials, seed| {
+            calls.borrow_mut().push((trials, seed));
+            primitive_batch(&prim)(config, trials, seed)
+        };
+        let audit = escalate(4, 42, 2, config, batch).unwrap();
+        assert_eq!(audit.outcome.rounds, 2);
+        assert_eq!(calls.into_inner(), [(4, 42), (8, 42 + 7919), (8, 42 + 2 * 7919)]);
+        assert_eq!(configs.into_inner(), 3, "one configuration per batch");
+        assert_eq!(audit.outcome.total_iterations, 4 + 8 + 8);
+        assert!(audit.functional_ok && audit.error.is_none());
+    }
+
+    #[test]
+    fn an_escalation_error_keeps_the_verdict_so_far_and_a_first_error_is_an_err() {
+        let prim = eq();
+        let mega = |_| CoreConfig::mega_boom();
+        let failing_rounds = |config, trials, seed| {
+            if seed == 42 {
+                primitive_batch(&prim)(config, trials, seed)
+            } else {
+                Err("no more trials".to_string())
+            }
+        };
+        let audit = escalate(4, 42, 4, mega, failing_rounds).unwrap();
+        assert_eq!(audit.error.as_deref(), Some("escalation round 1: no more trials"));
+        assert_eq!((audit.outcome.rounds, audit.outcome.total_iterations), (1, 4));
+        let first = escalate(4, 42, 4, mega, |_, _, _| Err("cannot start".to_string()));
+        assert_eq!(first.unwrap_err(), "cannot start");
+    }
+}

@@ -97,13 +97,15 @@ type Batch = Result<PrimitiveOutcome, String>;
 /// Cross-validates the static verdicts against the dynamic audit over
 /// the 27 Table V primitives and the seeded-leaky fixtures.
 ///
-/// Every kernel gets two dynamic audits: one under the paper's MegaBoom
-/// configuration (the architectural dimension, reusing Table V's
-/// escalation protocol so verdicts match `repro table5` at the same
-/// scale) and one under an adversarial configuration — polarized gshare
-/// initial state plus a spurious-squash fault plan (the speculative
-/// dimension, cross-checked against static CT-SPEC findings). Kernels
-/// fan out across the worker pool; rows come back in table order.
+/// Every kernel gets two dynamic audits, both on [`escalate`]'s schedule:
+/// one under the paper's MegaBoom configuration (the architectural
+/// dimension; a primitive gets Table V's 4 rounds, so verdicts match
+/// `repro table5` at the same scale, and a fixture 2) and one, of 2
+/// rounds, under an adversarial configuration — polarized gshare initial
+/// state plus a spurious-squash fault plan (the speculative dimension,
+/// cross-checked against static CT-SPEC findings). Any failed batch
+/// panics. Kernels fan out across the worker pool; rows come back in
+/// table order.
 pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
     let primitives = Primitive::all();
     let fixture_list = fixtures::all();
@@ -112,15 +114,12 @@ pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
     // Both dimensions run Table V's schedule; the adversarial one re-seeds
     // its predictor state and squash plan every round.
     let row = |name: &str, rounds: usize, batch: &dyn Fn(CoreConfig, usize, u64) -> Batch| {
-        let audit = |rounds, config: &dyn Fn(usize) -> CoreConfig| match escalate(
-            scale.primitive_trials,
-            scale.seed,
-            rounds,
-            config,
-            batch,
-        ) {
-            Ok(Escalation { outcome, error: None, .. }) => outcome.report,
-            Ok(Escalation { error: Some(e), .. }) | Err(e) => panic!("{e}"),
+        let audit = |rounds, config: &dyn Fn(usize) -> CoreConfig| {
+            let (trials, seed) = (scale.primitive_trials, scale.seed);
+            match escalate(trials, seed, rounds, config, batch) {
+                Ok(Escalation { outcome, error: None, .. }) => outcome.report,
+                Ok(Escalation { error: Some(e), .. }) | Err(e) => panic!("{e}"),
+            }
         };
         let mega = audit(rounds, &|_| CoreConfig::mega_boom());
         let adv = audit(2, &|round| adversarial_config(scale.seed + round as u64));
@@ -136,6 +135,7 @@ pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
     };
     let mut rows = microsampler_par::map(&primitives, |_, p| row(p.name, 4, &primitive_batch(p)));
     rows.extend(microsampler_par::map(&fixture_list, |_, f| {
+        // A fixture has no reference model to check its outputs against.
         let batch = |config, trials: usize, seed| {
             fixtures::run_fixture(f, config, trials as u64, seed, TraceConfig::default())
                 .map(|result| PrimitiveOutcome { result, functional_ok: true })

@@ -177,8 +177,8 @@ impl Cache {
     pub fn tick(&mut self, now: u64) {
         let held = self.lfbs.len() + self.mshrs.len();
         // Taken out for the pass so that `install`, which never reads the
-        // buffers, can borrow the cache: completed fills install in buffer
-        // order without collecting them first.
+        // buffers, can borrow the cache; completed fills install in buffer
+        // order.
         let mut lfbs = std::mem::take(&mut self.lfbs);
         lfbs.retain(|l| {
             if l.ready_cycle <= now {
