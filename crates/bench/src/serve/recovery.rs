@@ -127,7 +127,9 @@ fn replay_line(
 
 #[cfg(test)]
 mod tests {
-    use super::super::queue::{submitted_event, terminal_event, JobHandle, JobState};
+    use super::super::queue::{
+        retrying_event, started_event, submitted_event, terminal_event, JobHandle, JobState,
+    };
     use super::*;
     use std::path::PathBuf;
 
@@ -151,7 +153,7 @@ mod tests {
             "{}\n{}\n{}\n{}\n",
             submitted_event(&finished).render_compact(),
             submitted_event(&pending).render_compact(),
-            super::super::queue::started_event(&finished.id, 1).render_compact(),
+            started_event(&finished.id, 1).render_compact(),
             terminal_event(&finished.id, &JobState::Done { leaky: true, verdict: Value::Null })
                 .unwrap()
                 .render_compact(),
@@ -244,17 +246,12 @@ mod tests {
         let done = JobState::Done { leaky: false, verdict: Value::Null };
         let mut lines: Vec<Value> = jobs.iter().map(submitted_event).collect();
         lines.extend([
-            super::super::queue::started_event(&jobs[0].id, 1),
+            started_event(&jobs[0].id, 1),
             terminal_event(&jobs[0].id, &done).unwrap(),
-            super::super::queue::started_event(&jobs[1].id, 1),
-            super::super::queue::retrying_event(
-                &jobs[1].id,
-                1,
-                "timed out",
-                std::time::Duration::from_millis(5),
-            ),
+            started_event(&jobs[1].id, 1),
+            retrying_event(&jobs[1].id, 1, "timed out", std::time::Duration::from_millis(5)),
             terminal_event(&jobs[1].id, &JobState::Cancelled).unwrap(),
-            super::super::queue::started_event(&jobs[2].id, 1),
+            started_event(&jobs[2].id, 1),
         ]);
         lines.iter().map(Value::render_compact).collect()
     }

@@ -100,7 +100,7 @@ pub struct SweepOptions {
     pub sequential: Option<SeqConfig>,
 }
 
-/// What one run threads through its experiments: the [`Scale`], the
+/// What an experiment passes to its trial sweeps: the [`Scale`], the
 /// [`SweepOptions`] every modexp sweep runs under, and the trial tally
 /// behind the run report's `trials` section. `repro` builds one per
 /// experiment. The tally sits behind a mutex because Table V records
