@@ -9,6 +9,11 @@
 //! * `fig3`, `fig4`, `fig7`, `fig9`: `leaky` (0 or 1), `flagged` (the
 //!   flagged units in the order reports print them, `-` for none), then
 //!   one field per unit: timed V, timed p, timeless V, timeless p.
+//! * `fig5`: `shared` (the number of SQ-ADDR features every class shows),
+//!   then one field per class: the number of its unique features and the
+//!   SipHash of their sorted values.
+//! * `fig10`: the fields of a `fig3` line, then the four call-pattern
+//!   counts, `mispredicts`, `ordering_mismatches` and `leak_identified`.
 //! * `table5`: one field per primitive: leak, functional, escalation
 //!   rounds and max V.
 //! * `lint`: one field per kernel of the static × dynamic
@@ -23,7 +28,7 @@
 use microsampler_bench::experiments as exp;
 use microsampler_bench::sweep::{RunContext, SweepOptions};
 use microsampler_bench::{lint, Scale};
-use microsampler_core::AnalysisReport;
+use microsampler_core::{AnalysisReport, UniquenessReport};
 use std::collections::BTreeMap;
 
 const CORPUS: &str = include_str!("data/verdicts.txt");
@@ -51,6 +56,32 @@ fn report_line(artifact: &str, r: &AnalysisReport) -> String {
         );
     }
     line
+}
+
+fn fig5_line(u: &UniquenessReport) -> String {
+    let mut line = format!("fig5 shared={}", u.shared.len());
+    for (class, features) in &u.unique {
+        let bytes: Vec<u8> = features.iter().flat_map(|f| f.to_le_bytes()).collect();
+        let digest = microsampler_stats::siphash24(0, 0, &bytes);
+        line += &format!(" class{class}={}/{digest:016x}", features.len());
+    }
+    line
+}
+
+fn fig10_line(f: &exp::Fig10) -> String {
+    let p = &f.patterns;
+    format!(
+        "{} inequal_only={} both={} equal_only={} neither={} mispredicts={} \
+         ordering_mismatches={} leak_identified={}",
+        report_line("fig10", &f.report),
+        p.inequal_only,
+        p.both,
+        p.equal_only,
+        p.neither,
+        f.mispredicts,
+        f.ordering_mismatches,
+        u8::from(f.leak_identified)
+    )
 }
 
 fn table5_line(ctx: &RunContext) -> String {
@@ -89,8 +120,10 @@ fn actual_corpus() -> Vec<String> {
     vec![
         report_line("fig3", &exp::fig3(&ctx)),
         report_line("fig4", &exp::fig4(&ctx)),
+        fig5_line(&exp::fig5(&ctx)),
         report_line("fig7", &exp::fig7(&ctx)),
         report_line("fig9", &exp::fig9(&ctx)),
+        fig10_line(&exp::fig10(&ctx.scale)),
         table5_line(&ctx),
         lint_line(&ctx.scale),
     ]
