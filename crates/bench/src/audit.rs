@@ -26,7 +26,7 @@ use crate::sweep::AdaptiveAllocator;
 use microsampler_core::{SeqConfig, SeqVerdict, SequentialAnalyzer, StopTrace};
 use microsampler_kernels::openssl::Primitive;
 use microsampler_obs::{diag, Value};
-use microsampler_sim::{CoreConfig, FaultConfig, TraceConfig};
+use microsampler_sim::{CoreConfig, FaultConfig, TraceConfig, UnitSet};
 
 /// Schema tag on the robustness stability-curve document.
 pub const STABILITY_SCHEMA: &str = "microsampler-stability-v1";
@@ -136,7 +136,7 @@ pub fn run_audit(opts: &AuditOptions) -> Vec<AuditRow> {
             let faults = opts.faults.map(|f| f.for_trial(chunk as u64, 0));
             let mut config = CoreConfig::mega_boom();
             config.faults = faults;
-            let trace = TraceConfig { faults, ..TraceConfig::default() };
+            let trace = TraceConfig { faults, features: UnitSet::NONE, ..TraceConfig::default() };
             primitives[i]
                 .run(config, trials, opts.seed + chunk as u64 * 7919, trace)
                 .map_err(|e| format!("{}: {e}", primitives[i].name))

@@ -72,7 +72,7 @@ use microsampler_bench::{lint, print_cycle_histogram, print_v_chart, profile, sw
 use microsampler_core::association_to_json;
 use microsampler_kernels::modexp::ModexpVariant;
 use microsampler_obs::{diag, diag_error, json, metrics, span, trace_event, Value};
-use microsampler_sim::{CoreConfig, FaultConfig};
+use microsampler_sim::{CoreConfig, FaultConfig, UnitSet};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -274,6 +274,12 @@ fn main() -> ExitCode {
             }
         }
         sweep_opts.isolate = true;
+    }
+    if sweep_opts.journal.is_some() {
+        // Every experiment of the run shares the journal, later resumes read
+        // it, and fig4 and fig5 journal the same trials: its lines keep every
+        // unit's features, whatever each experiment reads.
+        sweep_opts.features = UnitSet::ALL;
     }
     for w in &wanted {
         let ctx = sweep::RunContext::new(scale, sweep_opts.clone());
@@ -1145,7 +1151,8 @@ fn usage() {
     );
     eprintln!(
         "submit exit codes: 0 = clean verdict/ack, 3 = leaky, 4 = quarantined, \
-         5 = cancelled, 6 = busy (queue-full, client-quota, or shutting-down), \
+         5 = cancelled, 6 = busy (queue-full, client-quota, shutting-down, or \
+         sequence-exhausted), \
          1 = connection/protocol error, 2 = usage error"
     );
 }

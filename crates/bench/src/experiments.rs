@@ -13,7 +13,7 @@ use microsampler_kernels::memcmp::MemcmpKernel;
 use microsampler_kernels::modexp::{Fig6Kernel, ModexpKernel, ModexpVariant};
 use microsampler_kernels::openssl::{Primitive, PrimitiveOutcome};
 use microsampler_obs::{diag, span};
-use microsampler_sim::{parse_text_log, CoreConfig, TraceConfig, UnitId};
+use microsampler_sim::{parse_text_log, CoreConfig, TraceConfig, UnitId, UnitSet};
 use microsampler_stats::ContingencyTable;
 use std::time::Duration;
 
@@ -212,14 +212,15 @@ pub fn escalate(
     Ok(Escalation { outcome, functional_ok, error })
 }
 
-/// [`escalate`]'s batch for a Table V primitive: [`Primitive::run`] with
-/// the default trace configuration, its errors naming the primitive.
+/// [`escalate`]'s batch for a Table V primitive: [`Primitive::run`]
+/// collecting no features (a verdict reads none), its errors naming the
+/// primitive.
 pub fn primitive_batch(
     prim: &Primitive,
 ) -> impl Fn(CoreConfig, usize, u64) -> Result<PrimitiveOutcome, String> + '_ {
     move |config, trials, seed| {
-        prim.run(config, trials, seed, TraceConfig::default())
-            .map_err(|e| format!("{}: {e}", prim.name))
+        let trace = TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() };
+        prim.run(config, trials, seed, trace).map_err(|e| format!("{}: {e}", prim.name))
     }
 }
 
@@ -387,10 +388,18 @@ pub fn fig4(ctx: &RunContext) -> AnalysisReport {
 }
 
 /// Fig. 5: SQ-ADDR feature uniqueness for `ME-V1-MV` — the per-class
-/// unique store addresses (the paper's red/blue scatter).
+/// unique store addresses (the paper's red/blue scatter). Its sweep adds
+/// SQ-ADDR to the context's feature set.
 pub fn fig5(ctx: &RunContext) -> UniquenessReport {
-    let iters =
-        case_study_iterations(ctx, ModexpVariant::V1MicroarchVuln, &CoreConfig::mega_boom());
+    let s = &ctx.scale;
+    let iters = ctx.modexp_iterations_with_features(
+        UnitSet::of(&[UnitId::SqAddr]),
+        ModexpVariant::V1MicroarchVuln,
+        &CoreConfig::mega_boom(),
+        s.keys,
+        s.key_bytes,
+        s.seed,
+    );
     feature_uniqueness(&iters, UnitId::SqAddr)
 }
 
@@ -485,7 +494,8 @@ pub struct Fig10 {
 /// Uses the paper's input design: 32 fixed pairs with varying (in)equal
 /// byte distributions, the pair index as the class label, repeated in a
 /// shuffled schedule, on a core with randomized initial predictor state
-/// (standing in for the real system's residual predictor contents).
+/// (standing in for the real system's residual predictor contents). Only
+/// ROB-PC's features are collected.
 pub fn fig10(scale: &Scale) -> Fig10 {
     let pairs = memcmp_pairs(scale.seed);
     let trials = memcmp_schedule(&pairs, scale.memcmp_reps, scale.seed);
@@ -493,15 +503,15 @@ pub fn fig10(scale: &Scale) -> Fig10 {
     let equal_pc = program.symbol_addr("equal_fn");
     let inequal_pc = program.symbol_addr("inequal_fn");
     let config = CoreConfig::mega_boom().with_random_bpred(scale.seed | 1);
-    let (result, outputs) = MemcmpKernel
-        .run_with_outputs(config, &trials, TraceConfig::default())
-        .expect("memcmp runs");
+    let trace = TraceConfig { features: UnitSet::of(&[UnitId::RobPc]), ..TraceConfig::default() };
+    let (result, outputs) =
+        MemcmpKernel.run_with_outputs(config, &trials, trace).expect("memcmp runs");
     for (t, &o) in trials.iter().zip(&outputs) {
         assert_eq!(o, MemcmpKernel.reference(t), "memcmp functional check");
     }
     let mut patterns = CallPatterns::default();
     for it in &result.iterations {
-        let pcs = &it.unit(UnitId::RobPc).order;
+        let pcs = it.unit(UnitId::RobPc).order.as_deref().expect("ROB-PC features collected");
         match (pcs.contains(&equal_pc), pcs.contains(&inequal_pc)) {
             (true, true) => patterns.both += 1,
             (true, false) => patterns.equal_only += 1,

@@ -12,7 +12,7 @@ use microsampler_isa::asm::assemble;
 use microsampler_kernels::fixtures;
 use microsampler_kernels::openssl::{Primitive, PrimitiveOutcome};
 use microsampler_obs::diag;
-use microsampler_sim::{CoreConfig, FaultConfig};
+use microsampler_sim::{CoreConfig, FaultConfig, UnitSet};
 
 /// One linted kernel: the static report plus the text base needed to map
 /// violation PCs back to instruction lines in SARIF output.
@@ -135,9 +135,11 @@ pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
     };
     let mut rows = microsampler_par::map(&primitives, |_, p| row(p.name, 4, &primitive_batch(p)));
     rows.extend(microsampler_par::map(&fixture_list, |_, f| {
-        // A fixture has no reference model to check its outputs against.
+        // A fixture has no reference model to check its outputs against,
+        // and like a primitive its verdict reads no features.
+        let trace = TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() };
         let batch = |config, trials: usize, seed| {
-            fixtures::run_fixture(f, config, trials as u64, seed, TraceConfig::default())
+            fixtures::run_fixture(f, config, trials as u64, seed, trace)
                 .map(|result| PrimitiveOutcome { result, functional_ok: true })
                 .map_err(|e| format!("{}: {e}", f.name))
         };

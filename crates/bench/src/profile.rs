@@ -15,7 +15,7 @@
 use microsampler_kernels::inputs::random_keys;
 use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
 use microsampler_obs::{diag, Value};
-use microsampler_sim::{CoreConfig, PipelineStats, TraceConfig};
+use microsampler_sim::{CoreConfig, PipelineStats, TraceConfig, UnitSet};
 
 /// Schema tag on the `BENCH_sim.json` report.
 pub const BENCH_SIM_SCHEMA: &str = "microsampler-bench-sim-v2";
@@ -101,9 +101,11 @@ pub fn profile_kernel(
     let _span = microsampler_obs::span("profile");
     let kernel = ModexpKernel::new(variant, opts.key_bytes);
     let keys = random_keys(opts.keys, opts.key_bytes, opts.seed);
+    // The profile reads pipeline counters only, no features.
+    let trace = TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() };
     let per_key = microsampler_par::map(&keys, |_, key| {
         let run = kernel
-            .run(config.clone(), key, TraceConfig::default())
+            .run(config.clone(), key, trace)
             .map_err(|e| format!("{}: {e}", variant.name()))?;
         if run.exit_code != kernel.reference(key) {
             return Err(format!("{} functional mismatch", variant.name()));

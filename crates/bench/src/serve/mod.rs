@@ -36,6 +36,7 @@ use crate::sweep::{self, SweepOptions};
 use microsampler_core::{analyze, SeqConfig, SeqVerdict};
 use microsampler_obs::{diag, diag_info, diag_warn, metrics, Value};
 use microsampler_par::IsolationPolicy;
+use microsampler_sim::UnitSet;
 use queue::{JobHandle, JobSpec, JobState, WalWriter};
 use std::collections::{BTreeMap, VecDeque};
 use std::os::unix::net::UnixListener;
@@ -92,6 +93,9 @@ pub enum SubmitError {
     ClientQuota,
     /// The daemon is draining for shutdown.
     ShuttingDown,
+    /// Every job sequence number is taken: the next one would leave the
+    /// WAL no successor to resume from.
+    SequenceExhausted,
 }
 
 impl SubmitError {
@@ -101,6 +105,7 @@ impl SubmitError {
             SubmitError::QueueFull => "queue-full",
             SubmitError::ClientQuota => "client-quota",
             SubmitError::ShuttingDown => "shutting-down",
+            SubmitError::SequenceExhausted => "sequence-exhausted",
         }
     }
 }
@@ -186,7 +191,10 @@ impl ServeState {
     /// # Errors
     ///
     /// Rejects with a [`SubmitError`] under shutdown, a full queue, or
-    /// an exhausted per-client quota — the backpressure contract.
+    /// an exhausted per-client quota — the backpressure contract — and
+    /// once the last sequence number is reached, before logging anything:
+    /// a job logged with `seq` `u64::MAX` would leave recovery no next
+    /// sequence number, and the daemon could not restart.
     pub fn submit(&self, client: &str, spec: JobSpec) -> Result<Arc<JobHandle>, SubmitError> {
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(SubmitError::ShuttingDown);
@@ -199,7 +207,10 @@ impl ServeState {
         if client_jobs >= self.opts.per_client {
             return Err(SubmitError::ClientQuota);
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
+        let seq = self
+            .next_seq
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |seq| seq.checked_add(1))
+            .map_err(|_| SubmitError::SequenceExhausted)?;
         let job = Arc::new(JobHandle::new(seq, client, spec, false));
         // WAL before queue: the accept must be durable before anything
         // can observe (or crash out of) the job.
@@ -343,6 +354,8 @@ impl ServeState {
                 cancel: Some(job.cancel.clone()),
                 deadline: self.opts.job_timeout.map(|t| Instant::now() + t),
                 sequential: job.spec.sequential.then(SeqConfig::default),
+                // A verdict reads no features, so the journal stores none.
+                features: UnitSet::NONE,
                 ..SweepOptions::default()
             };
             let out = sweep::run_modexp_sweep(
@@ -652,6 +665,34 @@ mod tests {
         );
         state.shutdown();
         assert_eq!(state.submit("ci", quick_spec()).unwrap_err(), SubmitError::ShuttingDown);
+        std::fs::remove_dir_all(&state_dir).ok();
+    }
+
+    /// After a WAL whose last job took `seq` `u64::MAX - 1`, the daemon
+    /// starts, refuses the next submission without logging it, and starts
+    /// again over the same directory.
+    #[test]
+    fn submit_refuses_the_last_sequence_number_and_the_daemon_restarts() {
+        let opts = test_opts("seqmax");
+        let state_dir = opts.state_dir.clone();
+        std::fs::create_dir_all(&state_dir).unwrap();
+        let wal_path = state_dir.join("serve-wal.jsonl");
+        let last = JobHandle::new(u64::MAX - 1, "ci", quick_spec(), false);
+        std::fs::write(&wal_path, queue::submitted_event(&last).render_compact() + "\n").unwrap();
+        let state = ServeState::new(opts.clone()).expect("starts after seq u64::MAX - 1");
+        assert_eq!(state.outstanding(), 1, "the logged job recovers");
+        let before = std::fs::read_to_string(&wal_path).unwrap();
+        let refused = state.submit("dev", quick_spec()).map(|job| job.id.clone());
+        assert_eq!(refused, Err(SubmitError::SequenceExhausted));
+        assert_eq!(SubmitError::SequenceExhausted.reason(), "sequence-exhausted");
+        assert_eq!(std::fs::read_to_string(&wal_path).unwrap(), before, "nothing is logged");
+        assert_eq!(state.outstanding(), 1, "a refused job takes no queue slot");
+        drop(state);
+        let restarted = ServeState::new(opts).expect("the daemon still starts");
+        assert_eq!(
+            restarted.submit("dev", quick_spec()).unwrap_err(),
+            SubmitError::SequenceExhausted
+        );
         std::fs::remove_dir_all(&state_dir).ok();
     }
 

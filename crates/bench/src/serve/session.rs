@@ -15,7 +15,8 @@
 //! Every daemon-originated line carries `"schema":"microsampler-serve-v1"`
 //! except the forwarded trial-journal lines, which keep their own
 //! schemas. Overload and shutdown answer `submit` with a `busy` event
-//! (`reason`: `queue-full`, `client-quota`, or `shutting-down`) and
+//! (`reason`: `queue-full`, `client-quota`, `shutting-down`, or
+//! `sequence-exhausted` once every job sequence number is taken) and
 //! close. A client that disconnects mid-stream cancels its job.
 
 use super::queue::JobHandle;
@@ -498,6 +499,7 @@ mod tests {
             (SubmitError::QueueFull, "queue-full"),
             (SubmitError::ClientQuota, "client-quota"),
             (SubmitError::ShuttingDown, "shutting-down"),
+            (SubmitError::SequenceExhausted, "sequence-exhausted"),
         ] {
             let v = busy_event(err);
             assert_eq!(v.get("schema").unwrap().as_str(), Some(SERVE_SCHEMA));

@@ -16,12 +16,14 @@
 //! The journal is append-only JSONL: one `microsampler-trial-v1` object
 //! per line, written as each trial finishes (so a crash loses at most the
 //! in-flight trials). Completed lines carry the trial's iteration
-//! snapshots with per-unit hashes and feature orders — everything the
-//! analyzer needs — but not raw matrices; quarantined lines carry the
-//! failure class, message, and attempt count. On resume, completed trials
-//! are restored from the journal and only the missing ones re-run;
-//! quarantined trials are retried. Completed lines are written straight
-//! into one string and decoded in one pass with
+//! snapshots with per-unit hashes — everything the analyzer needs — and
+//! an `order` array for each unit whose features the sweep collected
+//! ([`SweepOptions::features`]), but not raw matrices; quarantined lines
+//! carry the failure class, message, and attempt count. On resume,
+//! completed trials are restored from the journal and only the missing
+//! ones re-run; quarantined trials are retried, and so are completed
+//! trials that lack features the resuming sweep collects. Completed lines
+//! are written straight into one string and decoded in one pass with
 //! [`microsampler_obs::json::Reader`], with no JSON tree in between.
 //!
 //! A fresh journal starts with a `microsampler-journal-header-v1` line
@@ -41,7 +43,8 @@ use microsampler_obs::json::{ParseError, Reader};
 use microsampler_obs::{diag, diag_warn, json, Value};
 use microsampler_par::{CancelToken, FailureClass, IsolationPolicy, RunControl, TrialOutcome};
 use microsampler_sim::{
-    CoreConfig, FaultConfig, IterationTrace, PipelineStats, TraceConfig, Tracer, UnitId, UnitTrace,
+    CoreConfig, FaultConfig, IterationTrace, PipelineStats, TraceConfig, Tracer, UnitId, UnitSet,
+    UnitTrace,
 };
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -62,7 +65,8 @@ pub const HEARTBEAT_SCHEMA: &str = "microsampler-heartbeat-v1";
 pub const HEADER_SCHEMA: &str = "microsampler-journal-header-v1";
 
 /// Sweep configuration, carried by a [`RunContext`]. The default injects
-/// no faults, keeps no journal, and panics on a quarantined trial.
+/// no faults, keeps no journal, collects no features, and panics on a
+/// quarantined trial.
 #[derive(Clone, Debug, Default)]
 pub struct SweepOptions {
     /// Fault-injection rates applied to every trial (re-seeded per trial
@@ -98,6 +102,12 @@ pub struct SweepOptions {
     /// and recording the stopping trace in [`SweepOutcome::stop`] (and the
     /// journal).
     pub sequential: Option<SeqConfig>,
+    /// The units whose features ([`UnitTrace::order`]) every trial
+    /// collects ([`TraceConfig::features`]); the default is none. Snapshot
+    /// hashes, and so verdicts, do not depend on it. A journaled trial
+    /// without features for every unit in the set re-runs on resume, and
+    /// a restored one keeps exactly the set's features.
+    pub features: UnitSet,
 }
 
 /// What an experiment passes to its trial sweeps: the [`Scale`], the
@@ -138,7 +148,37 @@ impl RunContext {
         key_bytes: usize,
         seed: u64,
     ) -> Vec<IterationTrace> {
-        let out = run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &self.options);
+        self.modexp_iterations_with_features(
+            UnitSet::NONE,
+            variant,
+            config,
+            n_keys,
+            key_bytes,
+            seed,
+        )
+    }
+
+    /// [`RunContext::modexp_iterations`] for an experiment that reads the
+    /// features of `features`: the sweep collects them on top of the
+    /// options' own [`SweepOptions::features`].
+    ///
+    /// # Panics
+    ///
+    /// As [`RunContext::modexp_iterations`].
+    pub(crate) fn modexp_iterations_with_features(
+        &self,
+        features: UnitSet,
+        variant: ModexpVariant,
+        config: &CoreConfig,
+        n_keys: usize,
+        key_bytes: usize,
+        seed: u64,
+    ) -> Vec<IterationTrace> {
+        let opts = SweepOptions {
+            features: self.options.features.union(features),
+            ..self.options.clone()
+        };
+        let out = run_modexp_sweep(variant, config, n_keys, key_bytes, seed, &opts);
         self.tally().add(&out);
         if let (Some(q), false) = (out.quarantined.first(), self.options.isolate) {
             panic!("trial {} failed ({}): {}", q.id, q.class, q.message);
@@ -260,8 +300,9 @@ pub struct SweepOutcome {
 /// of the record as a [`Value`] object (`schema`, `id`, `status`,
 /// `iterations`; per iteration `label`, `start_cycle`, `end_cycle`,
 /// `dropped_cycles`, `pipeline`, `units`; per unit `hash`,
-/// `hash_timeless`, `cycle_rows`, `order`), which the tests keep as the
-/// reference: integers go through `Display`, as `Value` renders them.
+/// `hash_timeless`, `cycle_rows`, and `order` where it is `Some`), which
+/// the tests keep as the reference: integers go through `Display`, as
+/// `Value` renders them.
 fn completed_line(id: &str, iterations: &[IterationTrace]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -287,16 +328,20 @@ fn completed_line(id: &str, iterations: &[IterationTrace]) -> String {
             }
             let _ = write!(
                 out,
-                "{{\"hash\":{},\"hash_timeless\":{},\"cycle_rows\":{},\"order\":[",
+                "{{\"hash\":{},\"hash_timeless\":{},\"cycle_rows\":{}",
                 u.hash, u.hash_timeless, u.cycle_rows
             );
-            for (k, v) in u.order.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
+            if let Some(order) = &u.order {
+                out.push_str(",\"order\":[");
+                for (k, v) in order.iter().enumerate() {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{v}");
                 }
-                let _ = write!(out, "{v}");
+                out.push(']');
             }
-            out.push_str("]}");
+            out.push('}');
         }
         out.push_str("]}");
     }
@@ -346,6 +391,11 @@ fn snapshot_fold_identity() -> (u64, u64) {
 /// or by a build that folds snapshots differently is rejected rather than
 /// silently pooling incomparable trials (two folds give identical
 /// snapshots different hashes, which would split one category in two).
+///
+/// [`SweepOptions::features`] is left out too: it changes no hash, and a
+/// trial journaled without a feature the resuming sweep collects is
+/// re-run trial by trial rather than refused wholesale, so one journal
+/// serves every experiment of a `repro` run whatever each one reads.
 pub fn options_config_hash(opts: &SweepOptions) -> String {
     let f = opts.faults.unwrap_or_default();
     let (fold_hash, fold_hash_timeless) = snapshot_fold_identity();
@@ -455,8 +505,13 @@ struct UnitFields {
 }
 
 impl UnitFields {
+    /// A missing `order` is a unit whose features were not collected; an
+    /// `order` that is not an array is an error.
     fn build(self) -> Result<UnitTrace, String> {
-        let order = self.order.flatten().ok_or("unit lacks `order`")??;
+        let order = match self.order {
+            None => None,
+            Some(order) => Some(order.ok_or("non-array `order`")??),
+        };
         Ok(UnitTrace {
             hash: need_u64(self.hash, "hash")?,
             hash_timeless: need_u64(self.hash_timeless, "hash_timeless")?,
@@ -925,6 +980,29 @@ fn open_journal(path: &Path, config_hash: &str, new_segment: bool) -> Option<Mut
     }
 }
 
+/// A journaled trial's iterations as a sweep collecting `features` traces
+/// them: every other unit's features dropped, or `None` when an iteration
+/// lacks a unit or a unit in the set has no features to restore, so the
+/// trial re-runs.
+fn with_features(
+    mut iterations: Vec<IterationTrace>,
+    features: UnitSet,
+) -> Option<Vec<IterationTrace>> {
+    for it in &mut iterations {
+        if it.units.len() != UnitId::COUNT {
+            return None;
+        }
+        for (unit, u) in UnitId::ALL.into_iter().zip(&mut it.units) {
+            if !features.contains(unit) {
+                u.order = None;
+            } else if u.order.is_none() {
+                return None;
+            }
+        }
+    }
+    Some(iterations)
+}
+
 /// Runs a modexp variant over `n_keys` random keys with per-trial fault
 /// isolation, journaling, and resume, per `opts`. The caller tallies the
 /// outcome.
@@ -971,7 +1049,10 @@ pub fn run_modexp_sweep(
                     }
                     None => {
                         for i in 0..n_keys {
-                            if let Some(iters) = state.completed.remove(&trial_id(i)) {
+                            let journaled = state.completed.remove(&trial_id(i));
+                            if let Some(iters) =
+                                journaled.and_then(|iters| with_features(iters, opts.features))
+                            {
                                 restored.insert(i, iters);
                             }
                         }
@@ -1001,7 +1082,7 @@ pub fn run_modexp_sweep(
         };
         let mut cfg = config.clone();
         cfg.faults = faults;
-        let trace = TraceConfig { faults, ..TraceConfig::default() };
+        let trace = TraceConfig { faults, features: opts.features, ..TraceConfig::default() };
         let key = &keys[i];
         let program = program.as_ref().map_err(|e| format!("{}: {e}", variant.name()))?;
         let mut machine = kernel.machine_from(program, cfg, key, trace);
@@ -1174,12 +1255,15 @@ mod tests {
     /// rendered compactly.
     fn reference_completed_line(id: &str, iterations: &[IterationTrace]) -> String {
         let unit_to_json = |u: &UnitTrace| {
-            Value::object()
+            let unit = Value::object()
                 .field("hash", u.hash)
                 .field("hash_timeless", u.hash_timeless)
-                .field("cycle_rows", u.cycle_rows)
-                .field("order", Value::array(u.order.iter().copied()))
-                .build()
+                .field("cycle_rows", u.cycle_rows);
+            match &u.order {
+                Some(order) => unit.field("order", Value::array(order.iter().copied())),
+                None => unit,
+            }
+            .build()
         };
         let iteration_to_json = |it: &IterationTrace| {
             Value::object()
@@ -1209,13 +1293,19 @@ mod tests {
                 .ok_or_else(|| format!("missing or non-integer `{key}`"))
         }
         fn unit_from_json(v: &Value) -> Result<UnitTrace, String> {
-            let order: Vec<u64> = v
-                .get("order")
-                .and_then(Value::as_array)
-                .ok_or("unit lacks `order`")?
-                .iter()
-                .map(|x| x.as_u64().ok_or_else(|| "non-integer feature in `order`".to_string()))
-                .collect::<Result<_, _>>()?;
+            let order = match v.get("order") {
+                None => None,
+                Some(order) => Some(
+                    order
+                        .as_array()
+                        .ok_or("non-array `order`")?
+                        .iter()
+                        .map(|x| {
+                            x.as_u64().ok_or_else(|| "non-integer feature in `order`".to_string())
+                        })
+                        .collect::<Result<_, _>>()?,
+                ),
+            };
             Ok(UnitTrace {
                 hash: need_u64(v, "hash")?,
                 hash_timeless: need_u64(v, "hash_timeless")?,
@@ -1280,7 +1370,7 @@ mod tests {
         let unit = |hash: u64| UnitTrace {
             hash,
             hash_timeless: hash ^ 0xff,
-            order: vec![hash, 3],
+            order: Some(vec![hash, 3]),
             rows: None,
             cycle_rows: 7,
         };
@@ -1716,6 +1806,91 @@ mod tests {
         assert_eq!(fourth.iterations, first.iterations, "the restored trials are the noisy ones");
     }
 
+    /// ME-V2-Safe over two one-byte keys, collecting `features`,
+    /// journaled to `journal` (resuming it when `resume` is set) or, with
+    /// no journal, fresh.
+    fn features_sweep(journal: Option<&Path>, features: UnitSet, resume: bool) -> SweepOutcome {
+        let opts = SweepOptions {
+            isolate: true,
+            journal: journal.map(Path::to_path_buf),
+            resume,
+            features,
+            ..SweepOptions::default()
+        };
+        let mega = microsampler_sim::CoreConfig::mega_boom();
+        run_modexp_sweep(ModexpVariant::V2Safe, &mega, 2, 1, 42, &opts)
+    }
+
+    fn features_journal(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir()
+            .join(format!("microsampler-journal-features-{tag}-{}.jsonl", std::process::id()));
+        std::fs::write(&path, "").unwrap();
+        path
+    }
+
+    #[test]
+    fn a_featureless_journal_reruns_every_trial_of_a_sweep_that_reads_features() {
+        let path = features_journal("rerun");
+        let sq = UnitSet::of(&[UnitId::SqAddr]);
+        let first = features_sweep(Some(&path), UnitSet::NONE, false);
+        assert_eq!(first.completed, 2);
+        let second = features_sweep(Some(&path), sq, true);
+        assert_eq!((second.restored, second.completed), (0, 2), "no trial has SQ-ADDR features");
+        assert_eq!(second.iterations, features_sweep(None, sq, false).iterations);
+        // The re-run trials' lines supersede the featureless ones.
+        let third = features_sweep(Some(&path), sq, true);
+        std::fs::remove_file(&path).ok();
+        assert_eq!((third.restored, third.completed), (2, 0));
+        assert_eq!(third.iterations, second.iterations);
+    }
+
+    #[test]
+    fn a_featureless_journal_restores_every_trial_of_a_featureless_sweep() {
+        let path = features_journal("restore");
+        features_sweep(Some(&path), UnitSet::NONE, false);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains(TRIAL_SCHEMA) && !text.contains("\"order\""), "{text}");
+        let resumed = features_sweep(Some(&path), UnitSet::NONE, true);
+        std::fs::remove_file(&path).ok();
+        assert_eq!((resumed.restored, resumed.completed), (2, 0));
+        assert_eq!(resumed.iterations, features_sweep(None, UnitSet::NONE, false).iterations);
+    }
+
+    /// A journaled trial whose iterations lack a unit re-runs instead of
+    /// reaching the analysis, which reads all sixteen.
+    #[test]
+    fn a_journaled_trial_without_every_unit_reruns() {
+        let path = features_journal("units");
+        let full = features_sweep(Some(&path), UnitSet::NONE, false);
+        let mut short = full.iterations[..1].to_vec();
+        short[0].units.pop();
+        let id = "ME-V2-Safe/MegaBoom/kb1/s42/key0000";
+        let line = completed_line(id, &short) + "\n";
+        File::options().append(true).open(&path).unwrap().write_all(line.as_bytes()).unwrap();
+        let resumed = features_sweep(Some(&path), UnitSet::NONE, true);
+        std::fs::remove_file(&path).ok();
+        assert_eq!((resumed.restored, resumed.completed), (1, 1));
+        assert_eq!(resumed.iterations, full.iterations);
+    }
+
+    /// Lines with every unit's `order` are what sweeps wrote before a
+    /// sweep could leave features out. They restore into any sweep, which
+    /// keeps exactly its own set's features.
+    #[test]
+    fn a_journal_with_every_feature_restores_with_only_the_sweeps_features() {
+        let path = features_journal("all");
+        let all = features_sweep(Some(&path), UnitSet::ALL, false);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let units: usize = all.iterations.iter().map(|it| it.units.len()).sum();
+        assert_eq!(text.matches("\"order\":[").count(), units, "every unit has its order");
+        for features in [UnitSet::NONE, UnitSet::of(&[UnitId::SqAddr])] {
+            let resumed = features_sweep(Some(&path), features, true);
+            assert_eq!((resumed.restored, resumed.completed), (2, 0));
+            assert_eq!(resumed.iterations, features_sweep(None, features, false).iterations);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn sequential_sweep_stops_early_and_resume_reproduces_the_stopping_point() {
         use microsampler_core::SeqVerdict;
@@ -1851,7 +2026,7 @@ mod tests {
             units: vec![UnitTrace {
                 hash: 1,
                 hash_timeless: 2,
-                order: vec![4],
+                order: Some(vec![4]),
                 rows: None,
                 cycle_rows: 3,
             }],
@@ -1937,13 +2112,13 @@ mod tests {
         }
         let order = |edit: &str| decoded(&line.replacen("\"order\":[", edit, 1));
         assert_eq!(order("\"order\":[1.5,"), Err("non-integer feature in `order`".to_string()));
-        assert_eq!(order("\"order\":7,\"x\":["), Err("unit lacks `order`".to_string()));
+        assert_eq!(order("\"order\":7,\"x\":["), Err("non-array `order`".to_string()));
     }
 
     #[test]
     fn malformed_header_and_trial_lines_say_what_is_wrong() {
         let trial = |fields: &str| format!(r#"{{"schema":"{TRIAL_SCHEMA}",{fields}}}"#);
-        let unit = r#"{"hash":1,"hash_timeless":2,"cycle_rows":3}"#;
+        let unit = r#"{"hash":1,"hash_timeless":2,"cycle_rows":3,"order":{}}"#;
         let iteration = r#"{"label":0,"start_cycle":0,"end_cycle":0,"dropped_cycles":0}"#;
         let cases = [
             (format!(r#"{{"schema":"{HEADER_SCHEMA}"}}"#), "header missing `config_hash`"),
@@ -1964,12 +2139,40 @@ mod tests {
                 trial(&format!(
                     r#""id":"k","status":"completed","iterations":[{{"units":[{unit}]}}]"#
                 )),
-                "unit lacks `order`",
+                "non-array `order`",
             ),
         ];
         for (line, want) in cases {
             assert_eq!(decoded(&line), Err(want.to_string()), "{line}");
         }
+    }
+
+    /// A unit without `order` decodes to `None`, one with `[]` to an
+    /// empty order, and one whose `order` is not an array is an error.
+    #[test]
+    fn an_absent_order_is_none_and_an_empty_one_is_empty() {
+        let line = |unit: &str| {
+            format!(
+                r#"{{"schema":"{TRIAL_SCHEMA}","id":"k","status":"completed","iterations":[{{"label":0,"start_cycle":0,"end_cycle":0,"dropped_cycles":0,"units":[{unit}]}}]}}"#
+            )
+        };
+        let order = |unit: &str| decoded(&line(unit)).map(|s| s.completed["k"][0].units[0].clone());
+        let fields = r#""hash":1,"hash_timeless":2,"cycle_rows":3"#;
+        let want =
+            |order| UnitTrace { hash: 1, hash_timeless: 2, order, rows: None, cycle_rows: 3 };
+        assert_eq!(order(&format!("{{{fields}}}")), Ok(want(None)));
+        assert_eq!(order(&format!(r#"{{{fields},"order":[]}}"#)), Ok(want(Some(vec![]))));
+        assert_eq!(order(&format!(r#"{{"order":[9,7],{fields}}}"#)), Ok(want(Some(vec![9, 7]))));
+        for bad in ["null", "7", "\"x\"", "{}", "true"] {
+            let got = order(&format!(r#"{{{fields},"order":{bad}}}"#));
+            assert_eq!(got, Err("non-array `order`".to_string()), "{bad}");
+        }
+        // The encoder writes `order` exactly where it is `Some`.
+        let mut it = sample_iteration(0);
+        it.units[1].order = None;
+        let written = completed_line("k", &[it.clone()]);
+        assert_eq!(written.matches("\"order\"").count(), 1, "{written}");
+        assert_eq!(decoded(&written).unwrap().completed["k"], [it]);
     }
 
     #[test]
@@ -2197,7 +2400,7 @@ mod tests {
 
     /// `n` iterations of `units` units drawn from `seed`: hashes and
     /// counters over the whole `u64` range (half of them above
-    /// `i64::MAX`), and orders of 0 to 4 values.
+    /// `i64::MAX`), and orders of 0 to 4 values or none.
     fn drawn_iterations(seed: u64, n: usize, units: usize) -> Vec<IterationTrace> {
         let mut state = seed;
         let mut draw = move || {
@@ -2222,7 +2425,10 @@ mod tests {
                     .map(|_| UnitTrace {
                         hash: value(),
                         hash_timeless: value(),
-                        order: (0..value() % 5).map(|_| value()).collect(),
+                        order: match value() % 6 {
+                            5 => None,
+                            len => Some((0..len).map(|_| value()).collect()),
+                        },
                         rows: None,
                         cycle_rows: value(),
                     })

@@ -160,6 +160,45 @@ fn each_report_tallies_its_own_experiment_and_restores_in_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A journal without features, as serve jobs and plain sweeps write it,
+/// resumes under `repro fig5`, which reads SQ-ADDR's features: every
+/// trial re-runs, and fig5 prints what a fresh run prints.
+#[test]
+fn fig5_resumed_from_a_featureless_journal_reruns_and_prints_a_fresh_fig5() {
+    use microsampler_bench::sweep::{run_modexp_sweep, SweepOptions};
+    use microsampler_kernels::modexp::ModexpVariant;
+    use microsampler_sim::CoreConfig;
+    let dir = tmp_dir("featureless");
+    let journal = dir.join("trials.jsonl");
+    let reports = dir.join("reports");
+    let opts = SweepOptions { journal: Some(journal.clone()), ..SweepOptions::default() };
+    let mega = CoreConfig::mega_boom();
+    let written = run_modexp_sweep(ModexpVariant::V1MicroarchVuln, &mega, 2, 1, 42, &opts);
+    assert_eq!(written.completed, 2);
+    let text = std::fs::read_to_string(&journal).unwrap();
+    assert!(text.contains("\"status\":\"completed\"") && !text.contains("\"order\""), "{text}");
+
+    let base = ["fig5", "--keys", "2", "--key-bytes", "1", "--seed", "42"];
+    let fresh = repro().args(base).output().expect("repro runs");
+    assert!(fresh.status.success(), "stderr: {}", String::from_utf8_lossy(&fresh.stderr));
+    let resumed = repro()
+        .args(base)
+        .arg("--resume")
+        .arg(&journal)
+        .arg("--json")
+        .arg(&reports)
+        .output()
+        .expect("repro runs");
+    assert!(resumed.status.success(), "stderr: {}", String::from_utf8_lossy(&resumed.stderr));
+    let report_line = format!("wrote {}\n", reports.join("fig5.json").display());
+    let stdout = String::from_utf8_lossy(&resumed.stdout).replace(&report_line, "");
+    assert_eq!(stdout, String::from_utf8_lossy(&fresh.stdout));
+    let trials = parse_report(&reports.join("fig5.json")).get("trials").unwrap().clone();
+    let n = |key: &str| trials.get(key).and_then(Value::as_u64);
+    assert_eq!((n("restored"), n("completed")), (Some(0), Some(2)));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Resuming a journal recorded under different FaultConfig rates (or a
 /// different fault seed) would mix trials from two distributions into
 /// one statistic; the CLI must refuse with exit 2 and name the hashes.

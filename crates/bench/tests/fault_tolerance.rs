@@ -96,9 +96,10 @@ fn journal_resume_reruns_only_the_missing_trials() {
 /// `tests/data/trial-journal-v1.jsonl` was written by the build before
 /// journal records were encoded directly (CI's fault-injection run: `repro
 /// fig7 --keys 3 --key-bytes 1 --threads 2 --retries 1 --faults
-/// seed=7,squash=400,evict=400,drop=200,wedge=0 --journal FILE`). It still
-/// resumes: both completed trials are restored bit-identically, and the
-/// quarantined wedged trial re-runs.
+/// seed=7,squash=400,evict=400,drop=200,wedge=0 --journal FILE`), with
+/// every unit's `order`. It still resumes: both completed trials are
+/// restored bit-identically, without the features the resuming sweep does
+/// not collect, and the quarantined wedged trial re-runs.
 #[test]
 fn journal_from_the_tree_encoder_still_resumes() {
     let path = tmp("tree-encoder");
@@ -124,6 +125,7 @@ fn journal_from_the_tree_encoder_still_resumes() {
     let fresh =
         sweep_with(&SweepOptions { faults, isolate: true, ..SweepOptions::default() }, 3, 42);
     assert_eq!(resumed.iterations, fresh.iterations);
+    assert!(resumed.iterations.iter().flat_map(|it| &it.units).all(|u| u.order.is_none()));
 }
 
 #[test]

@@ -10,7 +10,8 @@ use microsampler_sim::{CoreConfig, PipelineStats};
 use std::sync::Mutex;
 
 // Thread-count overrides and the span registry are process-global;
-// serialize every test that touches them.
+// serialize every test that touches them. Each test takes the lock through
+// a poison, so one failing test does not fail every later one.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny() -> ProfileOptions {
@@ -29,7 +30,7 @@ fn kernels(report: &Value) -> String {
 
 #[test]
 fn pipeline_counters_bit_identical_across_thread_counts() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let config = CoreConfig::mega_boom();
     let opts = tiny();
     microsampler_par::set_threads(Some(1));
@@ -50,7 +51,7 @@ fn pipeline_counters_bit_identical_across_thread_counts() {
 
 #[test]
 fn pipeline_counters_invariant_to_span_enablement() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     microsampler_par::set_threads(Some(2));
     let config = CoreConfig::mega_boom();
     let opts = tiny();
@@ -69,7 +70,7 @@ fn pipeline_counters_invariant_to_span_enablement() {
 
 #[test]
 fn per_iteration_deltas_sum_to_totals_at_any_thread_count() {
-    let _l = LOCK.lock().unwrap();
+    let _l = LOCK.lock().unwrap_or_else(|p| p.into_inner());
     let config = CoreConfig::mega_boom();
     let mut baseline: Option<Vec<PipelineStats>> = None;
     for threads in [1, 2, 4] {

@@ -125,9 +125,14 @@ fn extract_verdict(stdout: &[u8]) -> String {
 #[test]
 fn overload_is_rejected_with_structured_busy() {
     let dir = tmp_dir("busy");
-    let (_daemon, socket) = start_daemon(&dir, &["--queue", "2", "--per-client", "1"]);
-    // A deliberately chunky job keeps the queue occupied while the
-    // follow-up submissions probe the backpressure paths.
+    // Every attempt has a zero budget and the backoff before the retry is
+    // a minute, so the first job stays outstanding while the follow-up
+    // submissions probe the backpressure paths, however fast it would
+    // simulate.
+    let (_daemon, socket) = start_daemon(
+        &dir,
+        &["--queue", "2", "--per-client", "1", "--job-timeout-ms", "0", "--backoff-ms", "60000"],
+    );
     let job = |client: &str| {
         format!(
             "{{\"op\":\"submit\",\"client\":\"{client}\",\"kernel\":\"ME-V2-Safe\",\

@@ -38,13 +38,34 @@ impl UniquenessReport {
     }
 }
 
+/// The features collected for `unit` in `it`.
+///
+/// # Panics
+///
+/// If `it` was traced without `unit` in its feature set: a missing set is
+/// not an empty one.
+fn features(it: &IterationTrace, unit: UnitId) -> &[u64] {
+    it.unit(unit).order.as_deref().unwrap_or_else(|| {
+        panic!(
+            "an iteration (label {}) has no {unit} features: trace it with {unit} in \
+             TraceConfig::features",
+            it.label
+        )
+    })
+}
+
 /// Extracts feature uniqueness for `unit` (paper §V-C3 criterion 1).
+///
+/// # Panics
+///
+/// If an iteration was traced without `unit`'s features
+/// ([`microsampler_sim::TraceConfig::features`]).
 pub fn feature_uniqueness(iterations: &[IterationTrace], unit: UnitId) -> UniquenessReport {
     let _stage = microsampler_obs::span::span("extract");
     let _span = microsampler_obs::span::span("uniqueness");
     let mut class_features: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
     for it in iterations {
-        class_features.entry(it.label).or_default().extend(&it.unit(unit).order);
+        class_features.entry(it.label).or_default().extend(features(it, unit));
     }
     let mut shared: Option<BTreeSet<u64>> = None;
     for feats in class_features.values() {
@@ -110,13 +131,18 @@ impl OrderingReport {
 /// first-occurrence order is taken; for every pair of classes, every pair
 /// of features common to both orders that appears in opposite relative
 /// order is reported.
+///
+/// # Panics
+///
+/// If an iteration was traced without `unit`'s features
+/// ([`microsampler_sim::TraceConfig::features`]).
 pub fn feature_ordering(iterations: &[IterationTrace], unit: UnitId) -> OrderingReport {
     let _stage = microsampler_obs::span::span("extract");
     let _span = microsampler_obs::span::span("ordering");
     // Dominant order signature per class.
     let mut counts: BTreeMap<u64, BTreeMap<Vec<u64>, usize>> = BTreeMap::new();
     for it in iterations {
-        *counts.entry(it.label).or_default().entry(it.unit(unit).order.clone()).or_insert(0) += 1;
+        *counts.entry(it.label).or_default().entry(features(it, unit).to_vec()).or_insert(0) += 1;
     }
     let class_orders: BTreeMap<u64, Vec<u64>> = counts
         .into_iter()
@@ -197,12 +223,21 @@ pub fn map_features(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microsampler_sim::{TraceConfig, Tracer};
+    use microsampler_sim::{TraceConfig, Tracer, UnitSet};
 
     /// Builds iterations where each class's SQ-ADDR rows contain the given
     /// feature sequences.
     fn traces(per_class_rows: &[(u64, Vec<Vec<u64>>)], reps: usize) -> Vec<IterationTrace> {
-        let mut tracer = Tracer::new(TraceConfig::default());
+        traces_with(TraceConfig::default(), per_class_rows, reps)
+    }
+
+    /// [`traces`] under `cfg`.
+    fn traces_with(
+        cfg: TraceConfig,
+        per_class_rows: &[(u64, Vec<Vec<u64>>)],
+        reps: usize,
+    ) -> Vec<IterationTrace> {
+        let mut tracer = Tracer::new(cfg);
         tracer.scr_start(0);
         let mut t = 0;
         for _ in 0..reps {
@@ -321,6 +356,31 @@ mod tests {
     fn map_features_requires_matrices() {
         let iters = traces(&[(0, vec![vec![0x1, 0]])], 1);
         assert!(map_features(&iters, UnitId::SqAddr, UnitId::SqPc).is_none());
+    }
+
+    /// Iterations traced without SQ-ADDR's features, though with every
+    /// other unit's.
+    fn traces_without_sq_addr() -> Vec<IterationTrace> {
+        let others: Vec<UnitId> =
+            UnitId::ALL.into_iter().filter(|&u| u != UnitId::SqAddr).collect();
+        let cfg = TraceConfig { features: UnitSet::of(&others), ..TraceConfig::default() };
+        traces_with(cfg, &[(0, vec![vec![0xA00, 0]]), (1, vec![vec![0xB00, 0]])], 2)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "no SQ-ADDR features: trace it with SQ-ADDR in TraceConfig::features"
+    )]
+    fn uniqueness_refuses_iterations_without_the_units_features() {
+        feature_uniqueness(&traces_without_sq_addr(), UnitId::SqAddr);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "no SQ-ADDR features: trace it with SQ-ADDR in TraceConfig::features"
+    )]
+    fn ordering_refuses_iterations_without_the_units_features() {
+        feature_ordering(&traces_without_sq_addr(), UnitId::SqAddr);
     }
 
     #[test]

@@ -55,5 +55,5 @@ pub use report::{association_to_json, AnalysisReport, UnitReport, DEGRADED_DROP_
 pub use sequential::{SequentialAnalyzer, StopLook, StopTrace, STOP_SCHEMA};
 
 // Re-exported so downstream users need only this crate for the common path.
-pub use microsampler_sim::{parse_text_log, IterationTrace, TraceConfig, UnitId};
+pub use microsampler_sim::{parse_text_log, IterationTrace, TraceConfig, UnitId, UnitSet};
 pub use microsampler_stats::{Association, SeqConfig, SeqVerdict, StreamingAssociation, Strength};

@@ -212,7 +212,7 @@ mod tests {
             .iterations
             .iter()
             .filter(|it| {
-                let pcs = &it.unit(UnitId::RobPc).order;
+                let pcs = it.unit(UnitId::RobPc).order.as_deref().unwrap();
                 pcs.contains(&equal_pc) || pcs.contains(&inequal_pc)
             })
             .count();

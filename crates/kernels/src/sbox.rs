@@ -188,7 +188,7 @@ mod tests {
         let mut per_class: BTreeMap<u64, std::collections::BTreeSet<u64>> = BTreeMap::new();
         for it in &result.iterations {
             let lines: std::collections::BTreeSet<u64> =
-                it.unit(UnitId::LqAddr).order.iter().map(|a| a >> 6).collect();
+                it.unit(UnitId::LqAddr).order.as_deref().unwrap().iter().map(|a| a >> 6).collect();
             per_class.entry(it.label).or_default().extend(lines);
         }
         assert!(per_class.len() >= 3, "several classes observed");

@@ -69,7 +69,7 @@ pub use pipeline::{PipelineStats, StallBreakdown, WATCHDOG_NEAR_MISS_CYCLES};
 pub use predictor::{Btb, Gshare, ReturnAddressStack};
 pub use tlb::Tlb;
 pub use trace::{
-    parse_text_log, IterationTrace, ParseLogError, TraceConfig, Tracer, UnitId, UnitTrace,
+    parse_text_log, IterationTrace, ParseLogError, TraceConfig, Tracer, UnitId, UnitSet, UnitTrace,
 };
 
 /// Statistics accumulated over a run, for benches and ablation studies.

@@ -293,6 +293,7 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::UnitSet;
     use microsampler_isa::asm::assemble;
 
     fn run_on(config: CoreConfig, src: &str) -> (Machine, RunResult) {
@@ -525,6 +526,12 @@ mod tests {
         }
         assert_eq!(versioned.len(), 3);
         assert_eq!(versioned, built);
+        // Without features the same rows fold to the same hashes.
+        let featureless = run(TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() });
+        for unit in built.iter_mut().flat_map(|it| &mut it.units) {
+            unit.order = None;
+        }
+        assert_eq!(featureless, built);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * a **timeless hash** with consecutive duplicate rows consolidated
 //!   (the timing-removal transform of Fig. 9),
 //! * the **feature order**: each distinct non-zero value once, in
-//!   first-occurrence order, for the uniqueness and ordering analyses,
+//!   first-occurrence order, for the uniqueness and ordering analyses —
+//!   collected only for the units in [`TraceConfig::features`],
 //! * optionally the **raw matrix** (for small runs, figures and tests).
 //!
 //! The fold is run-length: a row equal to the unit's previous row only
@@ -135,12 +136,48 @@ impl fmt::Display for UnitId {
     }
 }
 
+/// A set of units, one bit per [`UnitId::index`]: the units whose
+/// features a [`Tracer`] collects ([`TraceConfig::features`]). The
+/// default is the empty set, [`UnitSet::NONE`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct UnitSet(u16);
+
+const _: () = assert!(UnitId::COUNT <= u16::BITS as usize, "one bit per unit");
+
+impl UnitSet {
+    /// Every unit.
+    pub const ALL: UnitSet = UnitSet::of(&UnitId::ALL);
+    /// No unit.
+    pub const NONE: UnitSet = UnitSet(0);
+
+    /// The set of `units`.
+    pub const fn of(units: &[UnitId]) -> UnitSet {
+        let mut bits = 0;
+        let mut i = 0;
+        while i < units.len() {
+            bits |= 1 << units[i] as u16;
+            i += 1;
+        }
+        UnitSet(bits)
+    }
+
+    /// Whether `unit` is in the set.
+    pub fn contains(self, unit: UnitId) -> bool {
+        self.0 & (1 << unit.index()) != 0
+    }
+
+    /// The units in either set.
+    pub fn union(self, other: UnitSet) -> UnitSet {
+        UnitSet(self.0 | other.0)
+    }
+}
+
 /// Tracer configuration.
 ///
 /// Snapshot hashes are always SipHash-1-3 (CPython's default) under the
 /// fixed key `(0x4d53_4d50, 0x4c52_5f31)`, so a hash value means the same
 /// thing in every run, log parse and journal.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct TraceConfig {
     /// Retain raw per-cycle matrices in each [`UnitTrace`] (memory-hungry;
     /// intended for small runs, figures and tests).
@@ -158,6 +195,21 @@ pub struct TraceConfig {
     /// [`Tracer::iterations`] starts at the first kept iteration. Used
     /// for warm-up trials whose snapshots the analysis discards.
     pub warmup_iterations: usize,
+    /// The units whose features ([`UnitTrace::order`]) are collected.
+    /// Every other unit folds only its two hashes, which do not depend on
+    /// this set. The default is [`UnitSet::ALL`].
+    pub features: UnitSet,
+}
+
+impl Default for TraceConfig {
+    fn default() -> TraceConfig {
+        TraceConfig {
+            keep_matrices: false,
+            faults: None,
+            warmup_iterations: 0,
+            features: UnitSet::ALL,
+        }
+    }
 }
 
 /// The snapshot hasher: SipHash-1-3 under the fixed key documented on
@@ -178,8 +230,10 @@ pub struct UnitTrace {
     /// that are equal once consecutive duplicate rows are merged.
     pub hash_timeless: u64,
     /// Distinct non-zero values in first-occurrence order: the unit's
-    /// features, each listed once.
-    pub order: Vec<u64>,
+    /// features, each listed once. `Some` exactly for the units in
+    /// [`TraceConfig::features`]; `None` means the features were not
+    /// collected, not that there were none.
+    pub order: Option<Vec<u64>>,
     /// Raw matrix (`rows[cycle][entry]`), kept only when
     /// [`TraceConfig::keep_matrices`] is set.
     pub rows: Option<Vec<Vec<u64>>>,
@@ -243,6 +297,10 @@ struct UnitBuilder {
     /// [`Tracer::record_versioned`]; `None` when no run is open or its row
     /// came through [`Tracer::record_row`].
     version: Option<u64>,
+    /// Whether this unit's features are collected
+    /// ([`TraceConfig::features`]). When not, `seen` and `order` stay
+    /// empty.
+    collect: bool,
     /// Membership index over `order`. Holds every non-zero value of
     /// `last_row` while `run > 0`.
     seen: HashSet<u64, BuildHasherDefault<MulShift>>,
@@ -252,7 +310,7 @@ struct UnitBuilder {
 }
 
 impl UnitBuilder {
-    fn new(cfg: &TraceConfig) -> UnitBuilder {
+    fn new(cfg: &TraceConfig, unit: UnitId) -> UnitBuilder {
         UnitBuilder {
             hasher: snapshot_hasher(),
             timeless_hasher: snapshot_hasher(),
@@ -260,6 +318,7 @@ impl UnitBuilder {
             last_digest: 0,
             run: 0,
             version: None,
+            collect: cfg.features.contains(unit),
             seen: HashSet::default(),
             order: Vec::new(),
             rows: cfg.keep_matrices.then(Vec::new),
@@ -282,21 +341,25 @@ impl UnitBuilder {
             return 0;
         }
         self.close_run();
-        // One pass digests the row and collects its features. Every
-        // non-zero value of the previous row is already a feature, so
-        // values carried over from it need no membership check: first the
-        // prefix that continues it shifted left (queues retiring from the
-        // head), then the positions whose value is unchanged.
-        let prev: &[u64] = if self.run > 0 { &self.last_row } else { &[] };
-        let skip = shifted_prefix(prev, row);
-        let (seen, order) = (&mut self.seen, &mut self.order);
         let mut digest = snapshot_hasher();
         digest.write_u64(row.len() as u64);
-        digest.write_u64s_each(row, |i, v| {
-            if i >= skip && v != 0 && prev.get(i) != Some(&v) && seen.insert(v) {
-                order.push(v);
-            }
-        });
+        if self.collect {
+            // One pass digests the row and collects its features. Every
+            // non-zero value of the previous row is already a feature, so
+            // values carried over from it need no membership check: first
+            // the prefix that continues it shifted left (queues retiring
+            // from the head), then the positions whose value is unchanged.
+            let prev: &[u64] = if self.run > 0 { &self.last_row } else { &[] };
+            let skip = shifted_prefix(prev, row);
+            let (seen, order) = (&mut self.seen, &mut self.order);
+            digest.write_u64s_each(row, |i, v| {
+                if i >= skip && v != 0 && prev.get(i) != Some(&v) && seen.insert(v) {
+                    order.push(v);
+                }
+            });
+        } else {
+            digest.write_u64s(row);
+        }
         self.last_digest = digest.finish();
         self.timeless_hasher.write_u64(self.last_digest);
         self.run = 1;
@@ -325,7 +388,7 @@ impl UnitBuilder {
         UnitTrace {
             hash: std::mem::replace(&mut self.hasher, snapshot_hasher()).finish(),
             hash_timeless: std::mem::replace(&mut self.timeless_hasher, snapshot_hasher()).finish(),
-            order: std::mem::take(&mut self.order),
+            order: self.collect.then(|| std::mem::take(&mut self.order)),
             rows: self.rows.as_mut().map(std::mem::take),
             cycle_rows: std::mem::take(&mut self.cycle_rows),
         }
@@ -405,7 +468,7 @@ impl Tracer {
             in_scr: false,
             current: None,
             warmup_left: cfg.warmup_iterations,
-            units: (0..UnitId::COUNT).map(|_| UnitBuilder::new(&cfg)).collect(),
+            units: UnitId::ALL.iter().map(|&unit| UnitBuilder::new(&cfg, unit)).collect(),
             iterations: Vec::new(),
             rows_sampled: 0,
             hash_bytes: 0,
@@ -652,9 +715,10 @@ impl fmt::Display for ParseLogError {
 impl std::error::Error for ParseLogError {}
 
 /// Parses a text trace log back into [`IterationTrace`]s (the MicroSampler
-/// Parser of paper step ②). Produces summaries identical to the ones the
-/// live [`Tracer`] builds. `cfg.warmup_iterations` is ignored: a log holds
-/// only the iterations its tracer kept.
+/// Parser of paper step ②). Produces summaries identical to the ones a
+/// live [`Tracer`] under `cfg` builds, so features are collected for the
+/// units in `cfg.features` only. `cfg.warmup_iterations` is ignored: a log
+/// holds only the iterations its tracer kept.
 ///
 /// # Errors
 ///
@@ -788,14 +852,14 @@ mod tests {
         UnitTrace {
             hash: full.finish(),
             hash_timeless: timeless.finish(),
-            order,
+            order: Some(order),
             rows: None,
             cycle_rows: rows.len() as u64,
         }
     }
 
     fn fold(rows: &[Vec<u64>]) -> UnitTrace {
-        let mut b = UnitBuilder::new(&TraceConfig::default());
+        let mut b = UnitBuilder::new(&TraceConfig::default(), UnitId::SqAddr);
         for row in rows {
             b.fold_row(row);
         }
@@ -860,7 +924,7 @@ mod tests {
             ),
         ) {
             let cfg = TraceConfig { keep_matrices: true, ..TraceConfig::default() };
-            let mut builder = UnitBuilder::new(&cfg);
+            let mut builder = UnitBuilder::new(&cfg, UnitId::SqAddr);
             for rows in &matrices {
                 for row in rows {
                     builder.fold_row(row);
@@ -1034,10 +1098,103 @@ mod tests {
         let t = sample_tracer(false);
         let iter = &t.iterations[0];
         let sq = iter.unit(UnitId::SqAddr);
-        assert_eq!(sq.order, vec![0x100, 0x200]);
+        assert_eq!(sq.order, Some(vec![0x100, 0x200]));
         assert_eq!(sq.cycle_rows, 3);
         assert_eq!(iter.cycles(), 13 - 10 + 1);
         assert_eq!(iter.label, 1);
+    }
+
+    #[test]
+    fn unit_sets_hold_exactly_their_units() {
+        let queues = UnitSet::of(&[UnitId::SqAddr, UnitId::RobPc]);
+        for u in UnitId::ALL {
+            assert!(UnitSet::ALL.contains(u) && !UnitSet::NONE.contains(u), "{u}");
+            assert_eq!(queues.contains(u), matches!(u, UnitId::SqAddr | UnitId::RobPc), "{u}");
+            assert_eq!(UnitSet::of(&[u]).union(UnitSet::NONE), UnitSet::of(&[u]));
+        }
+        let union = UnitSet::of(&[UnitId::SqAddr]).union(UnitSet::of(&[UnitId::RobPc]));
+        assert_eq!(union, queues);
+        assert_eq!(UnitSet::of(&UnitId::ALL), UnitSet::ALL);
+        assert_eq!(UnitSet::of(&[]), UnitSet::NONE);
+        assert_eq!(TraceConfig::default().features, UnitSet::ALL);
+    }
+
+    proptest::proptest! {
+        /// Collecting features for any set of units folds every unit to
+        /// the hashes, row counts and kept rows that collecting them for
+        /// all units gives, with `order` `Some` exactly for the units in
+        /// the set (and equal to the full collection's there); the counters
+        /// agree too, and the full run's text log parses back under the set
+        /// to the same summaries.
+        #[test]
+        fn any_feature_set_folds_the_hashes_of_all(
+            members in proptest::collection::vec(proptest::prelude::any::<bool>(), UnitId::COUNT),
+            keep_matrices in proptest::prelude::any::<bool>(),
+            iterations in proptest::collection::vec(
+                proptest::collection::vec(
+                    (0u8..3, 1usize..4, proptest::collection::vec(0u64..6, 0..6)),
+                    0..24,
+                ),
+                1..4,
+            ),
+        ) {
+            let chosen: Vec<UnitId> =
+                UnitId::ALL.into_iter().filter(|u| members[u.index()]).collect();
+            let set = UnitSet::of(&chosen);
+            let all_cfg = TraceConfig { keep_matrices, ..TraceConfig::default() };
+            let set_cfg = TraceConfig { features: set, ..all_cfg };
+            let (mut all, mut some) = (Tracer::new(all_cfg), Tracer::new(set_cfg));
+            all.enable_log();
+            let mut prev: Vec<Vec<u64>> = vec![Vec::new(); UnitId::COUNT];
+            let mut cycle = 0;
+            for t in [&mut all, &mut some] {
+                t.scr_start(0);
+            }
+            for (label, cycles) in iterations.iter().enumerate() {
+                for t in [&mut all, &mut some] {
+                    t.iter_start(cycle, label as u64);
+                }
+                for (kind, shift, values) in cycles {
+                    cycle += 1;
+                    for t in [&mut all, &mut some] {
+                        t.begin_cycle(cycle);
+                    }
+                    for unit in UnitId::ALL {
+                        // Units see different values, some of them zero.
+                        let fresh: Vec<u64> =
+                            values.iter().map(|v| v * (unit.index() as u64 % 3)).collect();
+                        let prev = &mut prev[unit.index()];
+                        let row = match kind {
+                            1 => prev.clone(),
+                            2 => shifted(prev, *shift, &fresh),
+                            _ => fresh,
+                        };
+                        all.record_row(unit, &row);
+                        some.record_row(unit, &row);
+                        *prev = row;
+                    }
+                }
+                cycle += 1;
+                for t in [&mut all, &mut some] {
+                    t.iter_end(cycle);
+                }
+            }
+            let mut want = all.iterations.clone();
+            for it in &mut want {
+                for (unit, u) in UnitId::ALL.iter().zip(&mut it.units) {
+                    proptest::prop_assert!(u.order.is_some(), "ALL collects {}", unit);
+                    if !set.contains(*unit) {
+                        u.order = None;
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(&some.iterations, &want);
+            proptest::prop_assert_eq!(some.rows_sampled, all.rows_sampled);
+            proptest::prop_assert_eq!(some.hash_bytes, all.hash_bytes);
+            proptest::prop_assert_eq!(some.matrix_cells, all.matrix_cells);
+            let parsed = parse_text_log(all.log_text().unwrap(), set_cfg).unwrap();
+            proptest::prop_assert_eq!(parsed, want);
+        }
     }
 
     #[test]
@@ -1055,7 +1212,7 @@ mod tests {
         }
         t.iter_end(8);
         let sq = t.iterations[0].unit(UnitId::SqAddr);
-        assert_eq!(sq.order, vec![5, 7, 9]);
+        assert_eq!(sq.order, Some(vec![5, 7, 9]));
         assert_eq!(sq.cycle_rows, 7);
     }
 
@@ -1123,10 +1280,10 @@ mod tests {
     #[test]
     fn rows_of_different_widths_hash_differently() {
         let cfg = TraceConfig::default();
-        let mut a = UnitBuilder::new(&cfg);
+        let mut a = UnitBuilder::new(&cfg, UnitId::SqAddr);
         a.fold_row(&[1, 0]);
         a.fold_row(&[2, 0]);
-        let mut b = UnitBuilder::new(&cfg);
+        let mut b = UnitBuilder::new(&cfg, UnitId::SqAddr);
         b.fold_row(&[1, 0, 2, 0]);
         assert_ne!(a.finish().hash, b.finish().hash);
     }

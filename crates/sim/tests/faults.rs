@@ -126,7 +126,12 @@ fn faulted_run_is_reproducible() {
 fn untraced_warmup_keeps_the_traced_tail_exactly() {
     let faults = FaultConfig { drop_row_per_64k: 6000, bitflip_per_64k: 6000, ..noisy_faults() };
     let run = |warmup_iterations| {
-        let trace = TraceConfig { faults: Some(faults), warmup_iterations, keep_matrices: true };
+        let trace = TraceConfig {
+            faults: Some(faults),
+            warmup_iterations,
+            keep_matrices: true,
+            ..TraceConfig::default()
+        };
         let config = CoreConfig::mega_boom().with_faults(faults);
         Machine::with_trace_config(config, &marked_program(), trace)
             .run(2_000_000)

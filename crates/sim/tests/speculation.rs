@@ -210,8 +210,8 @@ fn flush_tlb_clears_resident_entries() {
     let mut m = Machine::with_trace_config(CoreConfig::mega_boom(), &p, TraceConfig::default());
     let r = m.run(100_000).unwrap();
     assert_eq!(r.iterations.len(), 2);
-    let before = &r.iterations[0].unit(UnitId::TlbAddr).order;
-    let after = &r.iterations[1].unit(UnitId::TlbAddr).order;
+    let features = |i: usize| r.iterations[i].unit(UnitId::TlbAddr).order.as_deref().unwrap();
+    let (before, after) = (features(0), features(1));
     assert!(!before.is_empty(), "first window should see the data page resident");
     assert!(after.is_empty(), "flushed TLB should be empty in the second window");
 }

@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut pattern_counts = [0usize; 4]; // neither, inequal, equal, both
     for it in &result.iterations {
-        let pcs = &it.unit(UnitId::RobPc).order;
+        let pcs = it.unit(UnitId::RobPc).order.as_deref().expect("features are collected");
         let idx = pcs.contains(&inequal_pc) as usize | ((pcs.contains(&equal_pc) as usize) << 1);
         pattern_counts[idx] += 1;
     }

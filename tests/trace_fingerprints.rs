@@ -106,14 +106,15 @@ fn digest_iteration(h: &mut SipHasher, it: &IterationTrace, hashes: &[(u64, u64)
         h.write_u64(hash_timeless);
         h.write_u64(u.cycle_rows);
         // The feature set, in ascending order: `order`'s values sorted.
-        let mut features = u.order.clone();
+        let order = u.order.as_deref().expect("the corpus collects every unit's features");
+        let mut features = order.to_vec();
         features.sort_unstable();
         h.write_u64(features.len() as u64);
         for &f in &features {
             h.write_u64(f);
         }
-        h.write_u64(u.order.len() as u64);
-        for &v in &u.order {
+        h.write_u64(order.len() as u64);
+        for &v in order {
             h.write_u64(v);
         }
         match &u.rows {
