@@ -259,9 +259,9 @@ fn resume_with_changed_fault_config_exits_usage_error() {
 /// Snapshot hashes from another fold label identical snapshots
 /// differently, so pooling them with this build's would split one
 /// contingency-table category in two. `--resume` refuses, with exit 2, a
-/// journal whose header was written by a build with the previous fold and
-/// a journal without a header (written before headers existed), and
-/// names the cause.
+/// journal whose header was written by a build with an earlier fold and a
+/// journal without a header (written before headers existed), and names
+/// the cause.
 #[test]
 fn resume_refuses_journals_from_another_snapshot_fold() {
     let dir = tmp_dir("resume-fold");
@@ -270,17 +270,22 @@ fn resume_refuses_journals_from_another_snapshot_fold() {
         repro().args(base).arg("--resume").arg(journal).output().expect("repro runs")
     };
 
-    // The header the previous fold's build wrote for fault-free options.
-    let old_fold = dir.join("old-fold.jsonl");
-    std::fs::write(
-        &old_fold,
-        "{\"schema\":\"microsampler-journal-header-v1\",\"config_hash\":\"34953a3173516e0d\"}\n",
-    )
-    .unwrap();
-    let out = resume(&old_fold);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("snapshot-hash format") && stderr.contains("FaultConfig"), "{stderr}");
+    // The headers earlier folds' builds wrote for fault-free options: the
+    // first run-length fold, and the one that digested rows with SipHash.
+    for config_hash in ["34953a3173516e0d", "ce054481753b1661"] {
+        let old_fold = dir.join(format!("fold-{config_hash}.jsonl"));
+        let header = format!(
+            "{{\"schema\":\"microsampler-journal-header-v1\",\"config_hash\":\"{config_hash}\"}}\n"
+        );
+        std::fs::write(&old_fold, header).unwrap();
+        let out = resume(&old_fold);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+        assert!(
+            stderr.contains("snapshot-hash format") && stderr.contains("FaultConfig"),
+            "{stderr}"
+        );
+    }
 
     // This build's own journal resumes; without its header it does not.
     let journal = dir.join("trials.jsonl");

@@ -49,6 +49,7 @@
 mod cache;
 mod config;
 mod core;
+mod digest;
 mod fault;
 pub mod interp;
 mod machine;

@@ -476,12 +476,38 @@ mod tests {
         assert!(iter_cycles <= r.pipeline.cycles);
     }
 
-    /// Capture by version (the default) and capture that builds every
-    /// row (`keep_matrices` refuses the shortcut) summarise every
-    /// iteration alike, on a program that moves each versioned structure
-    /// inside the traced iterations: loads and stores over four pages
-    /// (queues, LFBs, MSHRs, prefetches, TLB fills), multiplies, a divide,
-    /// a D-cache flush and a TLB flush.
+    /// Runs `program` on `config` three ways and checks that they
+    /// summarise every iteration alike: capture by version and by digest
+    /// where the tracer allows (the default), capture that builds every
+    /// row (`keep_matrices` refuses both shortcuts), and capture without
+    /// features (which passes ROB-PC and the SQ and LQ units by digest
+    /// alone). Returns the iterations with their matrices.
+    fn capture_paths_agree(config: CoreConfig, program: &Program) -> Vec<IterationTrace> {
+        let run = |trace: TraceConfig| {
+            let mut m = Machine::with_trace_config(config.clone(), program, trace);
+            m.run(2_000_000).expect("run completes").iterations
+        };
+        let versioned = run(TraceConfig::default());
+        let kept = run(TraceConfig { keep_matrices: true, ..TraceConfig::default() });
+        let mut built = kept.clone();
+        for unit in built.iter_mut().flat_map(|it| &mut it.units) {
+            unit.rows = None;
+        }
+        assert_eq!(versioned, built);
+        // Without features the same rows fold to the same hashes.
+        let featureless = run(TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() });
+        for unit in built.iter_mut().flat_map(|it| &mut it.units) {
+            unit.order = None;
+        }
+        assert_eq!(featureless, built);
+        kept
+    }
+
+    /// The capture paths agree on a program that moves each versioned
+    /// structure inside the traced iterations: loads and stores over four
+    /// pages (queues, LFBs, MSHRs, prefetches, TLB fills), multiplies, a
+    /// divide, a D-cache flush and a TLB flush; on MegaBoom, SmallBoom and
+    /// the fast-bypass core.
     #[test]
     fn versioned_capture_equals_building_every_row() {
         let program = assemble(
@@ -515,23 +541,37 @@ mod tests {
             "#,
         )
         .unwrap();
-        let run = |trace: TraceConfig| {
-            let mut m = Machine::with_trace_config(CoreConfig::mega_boom(), &program, trace);
-            m.run(2_000_000).expect("run completes").iterations
-        };
-        let versioned = run(TraceConfig::default());
-        let mut built = run(TraceConfig { keep_matrices: true, ..TraceConfig::default() });
-        for unit in built.iter_mut().flat_map(|it| &mut it.units) {
-            unit.rows = None;
+        for config in [
+            CoreConfig::mega_boom(),
+            CoreConfig::small_boom(),
+            CoreConfig::mega_boom().with_fast_bypass(),
+        ] {
+            assert_eq!(capture_paths_agree(config, &program).len(), 3);
         }
-        assert_eq!(versioned.len(), 3);
-        assert_eq!(versioned, built);
-        // Without features the same rows fold to the same hashes.
-        let featureless = run(TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() });
-        for unit in built.iter_mut().flat_map(|it| &mut it.units) {
-            unit.order = None;
-        }
-        assert_eq!(featureless, built);
+    }
+
+    /// On the fast-bypass core, a ROB full of uops that each carry two
+    /// fused `and`s behind a chain of divides gives ROB-PC rows of three
+    /// PCs per entry: wider than the ROB and past the digest's table of
+    /// powers. The capture paths still agree.
+    #[test]
+    fn fused_rob_rows_wider_than_the_rob_capture_alike() {
+        // Writing `zero`, none of the three takes a physical register.
+        let body = "and zero, a2, zero\nand zero, a2, zero\nnop\n".repeat(160);
+        let program = assemble(&format!(
+            "csrw 0x8c0, zero\nli s0, 2\nloop:\ncsrw 0x8c2, s0\nli t0, 1000\nli t1, 3\n\
+             divu t0, t0, t1\ndivu t0, t0, t1\ndivu t0, t0, t1\ndivu t0, t0, t1\n{body}\
+             csrw 0x8c3, zero\naddi s0, s0, -1\nbgtz s0, loop\ncsrw 0x8c1, zero\necall\n"
+        ))
+        .unwrap();
+        let kept = capture_paths_agree(CoreConfig::mega_boom().with_fast_bypass(), &program);
+        let widest = kept
+            .iter()
+            .flat_map(|it| it.unit(crate::UnitId::RobPc).rows.as_ref().unwrap())
+            .map(Vec::len)
+            .max()
+            .unwrap();
+        assert!(widest > crate::digest::TABLE_WORDS, "widest ROB-PC row {widest}");
     }
 
     #[test]

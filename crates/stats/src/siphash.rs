@@ -147,25 +147,16 @@ impl SipHasher {
     /// On a block boundary the state stays in registers for the whole
     /// slice.
     pub fn write_u64s(&mut self, words: &[u64]) {
-        self.write_u64s_each(words, |_, _| {});
-    }
-
-    /// [`SipHasher::write_u64s`] that also calls `each(i, words[i])` once
-    /// per word, in order, right after absorbing it, so a caller that
-    /// inspects every word reads the slice once.
-    pub fn write_u64s_each(&mut self, words: &[u64], mut each: impl FnMut(usize, u64)) {
         if self.buf_len != 0 {
-            for (i, &w) in words.iter().enumerate() {
+            for &w in words {
                 self.write(&w.to_le_bytes());
-                each(i, w);
             }
             return;
         }
         self.total_len = self.total_len.wrapping_add(8 * words.len() as u64);
         let mut v = self.v;
-        for (i, &m) in words.iter().enumerate() {
+        for &m in words {
             v.compress(m, self.c_rounds);
-            each(i, m);
         }
         self.v = v;
     }
@@ -278,30 +269,6 @@ mod tests {
         let mut h2 = SipHasher::new_1_3(3, 4);
         h2.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(h1.finish(), h2.finish());
-    }
-
-    proptest::proptest! {
-        /// After a byte prefix of any length (so on and off a block
-        /// boundary), `write_u64s_each` gives the digest of the words'
-        /// little-endian bytes, as `write_u64s` does, and calls back with
-        /// every word once, in order.
-        #[test]
-        fn write_u64s_each_equals_the_byte_stream_and_visits_every_word(
-            prefix in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..20),
-            words in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..12),
-        ) {
-            let (mut plain, mut each) = (SipHasher::new_1_3(5, 6), SipHasher::new_1_3(5, 6));
-            plain.write(&prefix);
-            each.write(&prefix);
-            for w in &words {
-                plain.write(&w.to_le_bytes());
-            }
-            let mut seen = Vec::new();
-            each.write_u64s_each(&words, |i, w| seen.push((i, w)));
-            proptest::prop_assert_eq!(each.finish(), plain.finish());
-            let expect: Vec<(usize, u64)> = words.iter().copied().enumerate().collect();
-            proptest::prop_assert_eq!(seen, expect);
-        }
     }
 
     #[test]
