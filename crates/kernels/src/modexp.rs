@@ -15,7 +15,7 @@
 
 use microsampler_isa::asm::{assemble, AsmError};
 use microsampler_isa::Program;
-use microsampler_sim::{CoreConfig, Machine, RunResult, SimError, TraceConfig};
+use microsampler_sim::{CoreConfig, Machine, RunResult, SimError, TraceConfig, UnitSet};
 
 /// Which conditional-assignment implementation the modexp driver uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -374,6 +374,8 @@ impl Fig6Kernel {
 
     /// Runs with `key` and returns per-iteration `(label, cycles)` pairs —
     /// the data behind the Fig. 6 distributions — plus the full result.
+    /// Its callers read cycle counts and snapshot hashes only, so no
+    /// unit's features are collected ([`UnitSet::NONE`]).
     ///
     /// # Errors
     ///
@@ -381,7 +383,8 @@ impl Fig6Kernel {
     pub fn run(&self, config: CoreConfig, key: &[u8]) -> Result<RunResult, ModexpError> {
         assert_eq!(key.len(), self.key_bytes, "key length must match the kernel");
         let program = self.program()?;
-        let mut machine = Machine::with_trace_config(config, &program, TraceConfig::default());
+        let trace = TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() };
+        let mut machine = Machine::with_trace_config(config, &program, trace);
         machine.write_mem(program.symbol_addr("key"), key);
         let result = machine.run(cycle_budget(self.key_bytes))?;
         Ok(result)
