@@ -22,7 +22,6 @@
 use crate::report::{AnalysisReport, UnitReport};
 use microsampler_obs::Value;
 use microsampler_sim::{IterationTrace, UnitId};
-use microsampler_stats::sequential::association_streaming;
 use microsampler_stats::{SeqConfig, SeqVerdict, StreamingAssociation};
 use std::collections::BTreeSet;
 
@@ -276,8 +275,8 @@ impl SequentialAnalyzer {
             .enumerate()
             .map(|(i, &unit)| UnitReport {
                 unit,
-                assoc: association_streaming(self.tables[i].0.table()),
-                assoc_timeless: association_streaming(self.tables[i].1.table()),
+                assoc: self.tables[i].0.table().association(),
+                assoc_timeless: self.tables[i].1.table().association(),
             })
             .collect();
         AnalysisReport {

@@ -99,13 +99,29 @@ impl<C: Ord + Clone, K: Ord + Clone> ContingencyTable<C, K> {
             .collect()
     }
 
-    /// Runs the full association analysis (χ², p-value, Cramér's V).
+    /// The counts column by column: `counts[j * r + i]` is the count of
+    /// the `i`-th class for the `j`-th category, both in sorted order, with
+    /// `r` the number of classes.
+    fn column_counts(&self) -> Vec<u64> {
+        let r = self.cells.len();
+        let mut counts = vec![0; self.categories.len() * r];
+        for (i, row) in self.cells.values().enumerate() {
+            // A class's categories are a sorted subsequence of all of them.
+            let mut all = self.categories.keys().enumerate();
+            for (cat, &n) in row {
+                let (j, _) = all.find(|&(_, k)| k == cat).expect("a recorded category");
+                counts[j * r + i] = n;
+            }
+        }
+        counts
+    }
+
+    /// Runs the full association analysis (χ², p-value, Cramér's V), with
+    /// χ² summed in the label-free order of [`crate::chi_squared`].
     pub fn association(&self) -> Association {
-        let matrix = self.to_matrix();
-        let (chi2, dof) = crate::chi_squared(&matrix);
-        let live_rows = matrix.iter().filter(|r| r.iter().any(|&c| c > 0)).count() as u64;
-        let live_cols =
-            (0..self.categories.len()).filter(|&j| matrix.iter().any(|r| r[j] > 0)).count() as u64;
+        let (chi2, dof) = crate::chi_squared_by_column(&self.column_counts(), self.cells.len());
+        // Every recorded class and category has observations.
+        let (live_rows, live_cols) = (self.cells.len() as u64, self.categories.len() as u64);
         Association {
             chi2,
             dof,
