@@ -506,8 +506,10 @@ mod tests {
     /// The capture paths agree on a program that moves each versioned
     /// structure inside the traced iterations: loads and stores over four
     /// pages (queues, LFBs, MSHRs, prefetches, TLB fills), multiplies, a
-    /// divide, a D-cache flush and a TLB flush; on MegaBoom, SmallBoom and
-    /// the fast-bypass core.
+    /// divide, a D-cache flush and a TLB flush; on MegaBoom, SmallBoom,
+    /// the fast-bypass core and a MegaBoom starved of miss bandwidth (one
+    /// MSHR, two line-fill buffers), where cache accesses retry and stores
+    /// drain out of order.
     #[test]
     fn versioned_capture_equals_building_every_row() {
         let program = assemble(
@@ -541,10 +543,14 @@ mod tests {
             "#,
         )
         .unwrap();
+        let mut starved = CoreConfig::mega_boom();
+        starved.l1d.mshrs = 1;
+        starved.lfb_entries = 2;
         for config in [
             CoreConfig::mega_boom(),
             CoreConfig::small_boom(),
             CoreConfig::mega_boom().with_fast_bypass(),
+            starved,
         ] {
             assert_eq!(capture_paths_agree(config, &program).len(), 3);
         }

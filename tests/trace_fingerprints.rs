@@ -28,13 +28,22 @@
 //!
 //! On a mismatch the test names the column that differs and prints the
 //! `actual corpus` block to regenerate the file from.
+//!
+//! The corpus collects every unit's features, so its runs record every
+//! row itself. Every fault-free record that keeps no matrices runs a
+//! second time without features, where the core records ROB-PC and the
+//! SQ and LQ units by their digests alone (the path every verdict, audit
+//! and serve job takes); that run must give the same hashes, row counts,
+//! cycles, committed count and exit code.
 
 use microsampler_kernels::fixtures;
 use microsampler_kernels::inputs::{memcmp_trials, random_keys};
 use microsampler_kernels::memcmp::MemcmpKernel;
 use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
 use microsampler_kernels::openssl::Primitive;
-use microsampler_sim::{CoreConfig, FaultConfig, IterationTrace, RunResult, TraceConfig};
+use microsampler_sim::{
+    CoreConfig, FaultConfig, IterationTrace, RunResult, TraceConfig, UnitId, UnitSet,
+};
 use microsampler_stats::SipHasher;
 use std::collections::HashMap;
 
@@ -44,6 +53,16 @@ const CORPUS: &str = include_str!("data/trace_fingerprints.txt");
 /// each key byte is eight labeled iterations.
 const KEYS: usize = 3;
 const KEY_BYTES: usize = 2;
+
+/// MegaBoom starved of miss bandwidth: one MSHR and two line-fill buffers.
+/// Cache accesses retry, a younger store can drain before an older one
+/// whose access retried, and loads wait behind older stores.
+fn starved_mega() -> CoreConfig {
+    let mut config = CoreConfig::mega_boom();
+    config.l1d.mshrs = 1;
+    config.lfb_entries = 2;
+    config
+}
 
 fn configs() -> [(&'static str, CoreConfig); 3] {
     [
@@ -197,40 +216,83 @@ fn modexp_runs(
         .collect()
 }
 
+/// Runs a fault-free record by `run` twice: as the corpus traces it
+/// (every unit's features, so every row is recorded itself) and without
+/// features (ROB-PC and the SQ and LQ units recorded by their digests
+/// alone). Asserts that both give the same snapshot hashes and sampled row
+/// counts per unit and iteration, and the same cycles, committed count and
+/// exit code per run; returns the first.
+fn both_capture_paths(name: &str, run: impl Fn(TraceConfig) -> Vec<RunResult>) -> Vec<RunResult> {
+    let rows = run(TraceConfig::default());
+    let digests = run(TraceConfig { features: UnitSet::NONE, ..TraceConfig::default() });
+    assert_eq!(rows.len(), digests.len(), "{name}: runs");
+    for (r, d) in rows.iter().zip(&digests) {
+        assert_eq!(
+            (r.cycles, r.stats.committed, r.exit_code, r.iterations.len()),
+            (d.cycles, d.stats.committed, d.exit_code, d.iterations.len()),
+            "{name}: cycles, committed, exit code, iterations"
+        );
+        for (i, (a, b)) in r.iterations.iter().zip(&d.iterations).enumerate() {
+            for ((u, v), unit) in a.units.iter().zip(&b.units).zip(UnitId::ALL) {
+                assert_eq!(
+                    (u.hash, u.hash_timeless, u.cycle_rows),
+                    (v.hash, v.hash_timeless, v.cycle_rows),
+                    "{name}: iteration {i} unit {unit}: digest-only capture differs from rows"
+                );
+            }
+        }
+    }
+    rows
+}
+
 fn corpus_records() -> Vec<Record> {
     let mut out = Vec::new();
     let trace = TraceConfig::default();
     for (cfg_name, config) in configs() {
         for variant in ModexpVariant::ALL {
             let seed = 42;
-            out.push(record(
-                variant.name(),
-                cfg_name,
-                seed,
-                None,
-                modexp_runs(variant, config.clone(), seed, trace),
-            ));
+            let runs = both_capture_paths(variant.name(), |trace| {
+                modexp_runs(variant, config.clone(), seed, trace)
+            });
+            out.push(record(variant.name(), cfg_name, seed, None, runs));
         }
     }
 
+    // The memmove's byte stores on a core starved of miss bandwidth.
+    let runs = both_capture_paths("starved", |trace| {
+        modexp_runs(ModexpVariant::V1MicroarchVuln, starved_mega(), 42, trace)
+    });
+    assert!(
+        runs.iter().all(|r| r.pipeline.lsu_retry_events > 0),
+        "the starved record must retry cache accesses"
+    );
+    out.push(record(ModexpVariant::V1MicroarchVuln.name(), "mega+starved", 42, None, runs));
+
     let mega = CoreConfig::mega_boom();
     let trials = memcmp_trials(6, 7);
-    let r = MemcmpKernel.run(mega.clone(), &trials, trace).expect("memcmp run completes");
-    out.push(record("CT-MEM-CMP", "mega", 7, None, vec![r]));
+    let runs = both_capture_paths("CT-MEM-CMP", |trace| {
+        vec![MemcmpKernel.run(mega.clone(), &trials, trace).expect("memcmp run completes")]
+    });
+    out.push(record("CT-MEM-CMP", "mega", 7, None, runs));
 
     // Every Table V primitive: 8 warm-up trials plus 4 kept ones each.
     let primitives = Primitive::all();
     assert_eq!(primitives.len(), 27);
     for p in primitives {
-        let o = p.run(mega.clone(), 4, 11, trace).expect("primitive run completes");
-        assert!(o.functional_ok, "{} functional result", p.name);
-        out.push(record(p.name, "mega", 11, None, vec![o.result]));
+        let runs = both_capture_paths(p.name, |trace| {
+            let o = p.run(mega.clone(), 4, 11, trace).expect("primitive run completes");
+            assert!(o.functional_ok, "{} functional result", p.name);
+            vec![o.result]
+        });
+        out.push(record(p.name, "mega", 11, None, runs));
     }
 
     for f in fixtures::all() {
-        let r =
-            fixtures::run_fixture(&f, mega.clone(), 4, 3, trace).expect("fixture run completes");
-        out.push(record(f.name, "mega", 3, None, vec![r]));
+        let runs = both_capture_paths(f.name, |trace| {
+            vec![fixtures::run_fixture(&f, mega.clone(), 4, 3, trace)
+                .expect("fixture run completes")]
+        });
+        out.push(record(f.name, "mega", 3, None, runs));
     }
 
     let keep = TraceConfig { keep_matrices: true, ..trace };

@@ -19,16 +19,24 @@
 //! * `lint`: one field per kernel of the static × dynamic
 //!   cross-validation: the MegaBoom dynamic verdict and max V, then the
 //!   adversarial-speculation dynamic verdict and max V.
+//! * `audit` (early-stopped) and `audit-full` (`--full-budget`): one field
+//!   per primitive: its verdict, `trials_spent` and the number of looks.
+//! * `fig3-seq`, `fig4-seq` (`--sequential`): the fields of a `fig3`
+//!   line over the trials the sweep ran, then the stop trace's closing
+//!   look (index, trials, n, max V, min p and verdict) and its verdict.
 //!
 //! A change meant to keep every verdict leaves the file unchanged. On a
 //! mismatch the test names the artifact and the field (the unit,
 //! primitive or kernel) that differs, and prints the `actual corpus`
 //! block to regenerate the file from.
 
+use microsampler_bench::audit::{run_audit, AuditOptions};
 use microsampler_bench::experiments as exp;
-use microsampler_bench::sweep::{RunContext, SweepOptions};
+use microsampler_bench::sweep::{run_modexp_sweep, RunContext, SweepOptions};
 use microsampler_bench::{lint, Scale};
-use microsampler_core::{AnalysisReport, UniquenessReport};
+use microsampler_core::{analyze, AnalysisReport, SeqConfig, UniquenessReport};
+use microsampler_kernels::modexp::ModexpVariant;
+use microsampler_sim::CoreConfig;
 use std::collections::BTreeMap;
 
 const CORPUS: &str = include_str!("data/verdicts.txt");
@@ -115,6 +123,43 @@ fn lint_line(scale: &Scale) -> String {
     line
 }
 
+/// Per-primitive trial budget of the `audit` lines: four chunks (2, 2, 4
+/// and 8 trials), so an early stop and the full budget differ.
+const AUDIT_TRIALS: usize = 16;
+
+fn audit_line(artifact: &str, early_stop: bool, scale: &Scale) -> String {
+    let opts =
+        AuditOptions { trials: AUDIT_TRIALS, seed: scale.seed, early_stop, ..Default::default() };
+    let mut line = artifact.to_string();
+    for r in run_audit(&opts) {
+        line +=
+            &format!(" {}={}/{}/{}", r.name, r.verdict.name(), r.trials_spent, r.stop.looks.len());
+    }
+    line
+}
+
+/// A `--sequential` case study: the report over the trials the sweep
+/// ran, then where and how its stop trace closed.
+fn sequential_line(artifact: &str, variant: ModexpVariant, scale: &Scale) -> String {
+    let opts = SweepOptions { sequential: Some(SeqConfig::default()), ..Default::default() };
+    let config = CoreConfig::mega_boom();
+    let out = run_modexp_sweep(variant, &config, scale.keys, scale.key_bytes, scale.seed, &opts);
+    let stop = out.stop.expect("sequential sweeps carry a stop trace");
+    let last = stop.looks.last().expect("the sequence looked at least once");
+    format!(
+        "{} close={}/{}/{}/{}/{}/{} verdict={} fallback={}",
+        report_line(artifact, &analyze(&out.iterations)),
+        last.look,
+        last.trials,
+        last.n,
+        bits(last.max_v),
+        bits(last.min_p),
+        last.verdict.name(),
+        stop.verdict.name(),
+        u8::from(stop.fallback)
+    )
+}
+
 fn actual_corpus() -> Vec<String> {
     let ctx = RunContext::new(scale(), SweepOptions::default());
     vec![
@@ -126,6 +171,10 @@ fn actual_corpus() -> Vec<String> {
         fig10_line(&exp::fig10(&ctx.scale)),
         table5_line(&ctx),
         lint_line(&ctx.scale),
+        audit_line("audit", true, &ctx.scale),
+        audit_line("audit-full", false, &ctx.scale),
+        sequential_line("fig3-seq", ModexpVariant::V1CompilerVuln, &ctx.scale),
+        sequential_line("fig4-seq", ModexpVariant::V1MicroarchVuln, &ctx.scale),
     ]
 }
 
