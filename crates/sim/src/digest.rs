@@ -17,10 +17,10 @@
 //!   digest with probability at most `2W/p`, about 2^-53 at `W = 128`.
 //! * A zero word adds nothing, so a queue row's zero padding costs nothing
 //!   to digest, and the width term keeps `[a]` and `[a, 0]` apart.
-//! * The sum is linear in the positions: a queue that only gains entries at
-//!   its tail and loses them at either end keeps its row's sum current as
-//!   it changes ([`PcDeque`]), and its digest costs one `mix` per cycle
-//!   instead of a pass over the row.
+//! * The sum is linear in the positions: a queue that gains entries at its
+//!   tail, loses them at either end and has words written in place keeps
+//!   its row's sum current as it changes ([`RowSum`], [`PcDeque`]), and its
+//!   digest costs one `mix` per cycle instead of a pass over the row.
 //!
 //! The powers of `K` for the first [`TABLE_WORDS`] words are a compile-time
 //! table; wider rows (`pad_row` never truncates a ROB-PC row) compute the
@@ -172,31 +172,80 @@ pub(crate) fn row_digest(row: &[u64]) -> u64 {
     digest_of(row.len(), row[..used].iter().copied())
 }
 
-/// A queue of PCs that keeps the sum of the row it forms current: the
-/// ROB-PC mirror, whose digest then costs one [`PcDeque::digest`] call per
-/// sampled cycle instead of a copy and a pass over the row. Entry `i`
-/// contributes the term of word `i`; the three ways the ROB changes each
-/// update the sum:
+/// The sum `Σ_i term(v_i, i) mod p` of a row whose words change at known
+/// positions, kept current by the owner's mutation sites so that the row's
+/// digest costs one `mix` instead of a pass over the row:
 ///
-/// | Mutation | Sum |
-/// |---|---|
-/// | push at the tail (`i = len`) | `S + term(v, len)` |
-/// | pop the head | `(S − term(v, 0))·K^-2`: every other entry moves one word left |
-/// | truncate the tail | `S − term(v, i)` for each removed entry `i` |
+/// | Mutation | Call | Sum |
+/// |---|---|---|
+/// | word `v` appears at `i` where a zero was (a push at the tail, a value written in place) | [`RowSum::add`] | `S + term(v, i)` |
+/// | word `v` at `i` becomes zero (truncating the tail, a value overwritten) | [`RowSum::sub`] | `S − term(v, i)` |
+/// | the head `v` leaves and every other word moves one left | [`RowSum::pop_front`] | `(S − term(v, 0))·K^-2` |
+/// | any other removal | [`RowSum::forget`] | summed afresh at the next digest |
 ///
-/// The sum is kept only from the first [`PcDeque::digest`] until
-/// [`PcDeque::forget_sum`], so cycles that read no digest (untraced
-/// ones, and runs that record the row itself) pay for no upkeep.
+/// The sum is kept only from the first [`RowSum::digest`] until
+/// [`RowSum::forget`]: until then every mutation is a no-op, so rows whose
+/// digest is not read (untraced cycles, runs that record the row itself)
+/// pay for no upkeep.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct RowSum(Option<u64>);
+
+impl RowSum {
+    /// Word `v` appears at position `i`, which held zero.
+    pub(crate) fn add(&mut self, v: u64, i: usize) {
+        if let Some(sum) = &mut self.0 {
+            *sum = add_mod(*sum, term(v, i));
+        }
+    }
+
+    /// Word `v` at position `i` becomes zero.
+    pub(crate) fn sub(&mut self, v: u64, i: usize) {
+        if let Some(sum) = &mut self.0 {
+            *sum = sub_mod(*sum, term(v, i));
+        }
+    }
+
+    /// The head word `v` leaves and every other word moves one left.
+    pub(crate) fn pop_front(&mut self, v: u64) {
+        if let Some(sum) = &mut self.0 {
+            // (S − term(v, 0))·K^-2, as S·K^-2 − (lo·K^-1 + hi): the two
+            // products do not wait for each other.
+            let head = reduce((v as u32 as u128) * K_INV as u128 + (v >> 32) as u128);
+            *sum = sub_mod(mul_mod(*sum, K_INV2), head);
+        }
+    }
+
+    /// Stops keeping the sum until the next [`RowSum::digest`].
+    pub(crate) fn forget(&mut self) {
+        self.0 = None;
+    }
+
+    /// `D` of the row of `width` words that starts with `words()` (at most
+    /// `width` of them) and is zero after them. Starts keeping the sum,
+    /// from `words()`, if it was not kept.
+    pub(crate) fn digest<I: IntoIterator<Item = u64>>(
+        &mut self,
+        width: usize,
+        words: impl FnOnce() -> I,
+    ) -> u64 {
+        finish(width, *self.0.get_or_insert_with(|| sum_of(words())))
+    }
+}
+
+/// A queue of PCs whose row sum a [`RowSum`] keeps current: the ROB-PC
+/// mirror, whose digest then costs one [`PcDeque::digest`] call per sampled
+/// cycle instead of a copy and a pass over the row. The ROB pushes at the
+/// tail ([`RowSum::add`] at `len`), pops the head ([`RowSum::pop_front`])
+/// and truncates the tail ([`RowSum::sub`] per removed entry).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PcDeque {
     pcs: VecDeque<u64>,
-    /// `Σ_i term(pcs[i], i) mod p` while kept.
-    sum: Option<u64>,
+    sum: RowSum,
 }
 
 impl PcDeque {
     pub(crate) fn with_capacity(capacity: usize) -> PcDeque {
-        PcDeque { pcs: VecDeque::with_capacity(capacity), sum: None }
+        PcDeque { pcs: VecDeque::with_capacity(capacity), sum: RowSum::default() }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -212,45 +261,34 @@ impl PcDeque {
     }
 
     pub(crate) fn push_back(&mut self, pc: u64) {
-        if let Some(sum) = &mut self.sum {
-            *sum = add_mod(*sum, term(pc, self.pcs.len()));
-        }
+        self.sum.add(pc, self.pcs.len());
         self.pcs.push_back(pc);
     }
 
     pub(crate) fn pop_front(&mut self) -> Option<u64> {
         let pc = self.pcs.pop_front()?;
-        if let Some(sum) = &mut self.sum {
-            // (S − term(pc, 0))·K^-2, as S·K^-2 − (lo·K^-1 + hi): the two
-            // products do not wait for each other.
-            let head = reduce((pc as u32 as u128) * K_INV as u128 + (pc >> 32) as u128);
-            *sum = sub_mod(mul_mod(*sum, K_INV2), head);
-        }
+        self.sum.pop_front(pc);
         Some(pc)
     }
 
     /// Keeps the first `len` entries.
     pub(crate) fn truncate(&mut self, len: usize) {
-        let Some(sum) = &mut self.sum else {
-            self.pcs.truncate(len);
-            return;
-        };
         while self.pcs.len() > len {
             let pc = self.pcs.pop_back().expect("longer than len");
-            *sum = sub_mod(*sum, term(pc, self.pcs.len()));
+            self.sum.sub(pc, self.pcs.len());
         }
     }
 
     /// `D` of the row these PCs form zero-padded to at least `min_width`
     /// words (never truncated). Starts keeping the sum if it was not kept.
     pub(crate) fn digest(&mut self, min_width: usize) -> u64 {
-        let sum = *self.sum.get_or_insert_with(|| sum_of(self.pcs.iter().copied()));
-        finish(self.pcs.len().max(min_width), sum)
+        let pcs = &self.pcs;
+        self.sum.digest(pcs.len().max(min_width), || pcs.iter().copied())
     }
 
     /// Stops keeping the sum until the next [`PcDeque::digest`].
     pub(crate) fn forget_sum(&mut self) {
-        self.sum = None;
+        self.sum.forget();
     }
 }
 
@@ -387,6 +425,59 @@ mod tests {
                         row.resize(model.len().max(min_width), 0);
                         proptest::prop_assert_eq!(deque.digest(min_width), reference_digest(&row));
                     }
+                }
+            }
+        }
+
+        /// Random pushes, head pops, words set in place, middle removals,
+        /// tail truncations and forgets, applied to a row and to its
+        /// `RowSum` the way the core's queues apply them, keep the sum's
+        /// digest equal to the reference digest of the row re-summed from
+        /// scratch, zero-padded to the minimum width, at every step where
+        /// it is read.
+        #[test]
+        fn row_sum_tracks_its_resummed_row(
+            steps in proptest::collection::vec(
+                (0u8..8, any::<usize>(), (any::<bool>(), any::<u64>())),
+                1..160,
+            ),
+            min_width in 0usize..40,
+        ) {
+            let mut sum = RowSum::default();
+            let mut row: Vec<u64> = Vec::new();
+            for (op, n, seed) in steps {
+                let v = words(&[seed])[0];
+                match op {
+                    0..=2 => {
+                        sum.add(v, row.len());
+                        row.push(v);
+                    }
+                    3 if !row.is_empty() => sum.pop_front(row.remove(0)),
+                    4 if !row.is_empty() => {
+                        let i = n % row.len();
+                        sum.sub(row[i], i);
+                        sum.add(v, i);
+                        row[i] = v;
+                    }
+                    5 if !row.is_empty() => {
+                        row.remove(n % row.len());
+                        sum.forget();
+                    }
+                    6 => {
+                        let len = row.len().saturating_sub(n % 8);
+                        while row.len() > len {
+                            let w = row.pop().expect("longer than len");
+                            sum.sub(w, row.len());
+                        }
+                    }
+                    _ => sum.forget(),
+                }
+                if n % 3 != 0 {
+                    let width = row.len().max(min_width);
+                    let mut padded = row.clone();
+                    padded.resize(width, 0);
+                    let d = sum.digest(width, || row.iter().copied());
+                    proptest::prop_assert_eq!(d, reference_digest(&padded));
                 }
             }
         }
