@@ -36,13 +36,14 @@
 //! and serve job takes); that run must give the same hashes, row counts,
 //! cycles, committed count and exit code.
 
+use microsampler_isa::asm::assemble;
 use microsampler_kernels::fixtures;
 use microsampler_kernels::inputs::{memcmp_trials, random_keys};
 use microsampler_kernels::memcmp::MemcmpKernel;
 use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
 use microsampler_kernels::openssl::Primitive;
 use microsampler_sim::{
-    CoreConfig, FaultConfig, IterationTrace, RunResult, TraceConfig, UnitId, UnitSet,
+    CoreConfig, FaultConfig, IterationTrace, Machine, RunResult, TraceConfig, UnitId, UnitSet,
 };
 use microsampler_stats::SipHasher;
 use std::collections::HashMap;
@@ -63,6 +64,40 @@ fn starved_mega() -> CoreConfig {
     config.lfb_entries = 2;
     config
 }
+
+/// Three iterations of loads, multiplies and stores striding over four
+/// pages, then a TLB flush, a divide and a D-cache flush. On the starved
+/// core a younger store lands before an older one whose access retried,
+/// inside traced cycles, so the STQ loses an entry from behind its head
+/// and the kept SQ row sums are summed afresh.
+const STORE_WALK: &str = r#"
+    .data
+    arr: .zero 16384
+    .text
+    csrw 0x8c0, zero       # SCR start
+    li s0, 3               # three iterations, labels 3, 2, 1
+    loop:
+        csrw 0x8c2, s0     # iter start
+        la t0, arr
+        li t1, 24
+        walk:
+            ld t2, 0(t0)
+            mul t3, t2, t1
+            sd t3, 8(t0)
+            addi t0, t0, 520
+            addi t1, t1, -1
+            bgtz t1, walk
+        csrw 0x8c7, zero   # flush the TLB
+        divu t4, t0, s0
+        csrw 0x8c6, zero   # flush the D-cache
+        la t0, arr
+        ld t2, 0(t0)
+        csrw 0x8c3, zero   # iter end
+        addi s0, s0, -1
+        bgtz s0, loop
+    csrw 0x8c1, zero       # SCR end
+    ecall
+"#;
 
 fn configs() -> [(&'static str, CoreConfig); 3] {
     [
@@ -267,6 +302,15 @@ fn corpus_records() -> Vec<Record> {
         "the starved record must retry cache accesses"
     );
     out.push(record(ModexpVariant::V1MicroarchVuln.name(), "mega+starved", 42, None, runs));
+
+    // Stores that drain from behind the STQ head on the starved core.
+    let program = assemble(STORE_WALK).expect("the store walk assembles");
+    let runs = both_capture_paths("store-walk", |trace| {
+        let mut machine = Machine::with_trace_config(starved_mega(), &program, trace);
+        vec![machine.run(2_000_000).expect("the store walk completes")]
+    });
+    assert_eq!(runs[0].iterations.len(), 3, "the store walk's iterations");
+    out.push(record("store-walk", "mega+starved", 0, None, runs));
 
     let mega = CoreConfig::mega_boom();
     let trials = memcmp_trials(6, 7);
