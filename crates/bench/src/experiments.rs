@@ -5,7 +5,7 @@
 use crate::sweep::{QuarantinedTrial, RunContext};
 use crate::Scale;
 use microsampler_core::{
-    analyze, feature_ordering, feature_uniqueness, AnalysisReport, Analyzer, EscalationOutcome,
+    analyze, contingency, feature_ordering, feature_uniqueness, AnalysisReport, SequentialAnalyzer,
     UniquenessReport,
 };
 use microsampler_kernels::inputs::{memcmp_pairs, memcmp_schedule};
@@ -60,7 +60,7 @@ pub fn table2(ctx: &RunContext) -> ContingencyTable<u64, u64> {
         scale.key_bytes.min(2),
         scale.seed,
     );
-    Analyzer::new().contingency(&iters, UnitId::SqAddr, false)
+    contingency(&iters, UnitId::SqAddr, false)
 }
 
 /// Table III is the pair of core configurations themselves.
@@ -146,13 +146,13 @@ fn table5_row(ctx: &RunContext, prim: &Primitive) -> Table5Row {
             };
         }
     };
-    let report = &audit.outcome.report;
+    let report = &audit.report;
     Table5Row {
         name: prim.name.to_owned(),
         leak_identified: report.is_leaky(),
         functional_ok: audit.functional_ok,
         max_v: report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max),
-        escalation_rounds: audit.outcome.rounds,
+        escalation_rounds: audit.rounds,
         ipc: report.pipeline.ipc(),
         dominant_stall: report.pipeline.dominant_stall().map(|(name, _)| name.to_owned()),
         error: audit.error,
@@ -162,8 +162,11 @@ fn table5_row(ctx: &RunContext, prim: &Primitive) -> Table5Row {
 /// An audit under the paper's input escalation, as [`escalate`] ran it.
 #[derive(Clone, Debug)]
 pub struct Escalation {
-    /// The verdict over every batch that ran.
-    pub outcome: EscalationOutcome,
+    /// The report over every batch that ran.
+    pub report: AnalysisReport,
+    /// Escalation rounds run (0 when the first batch sufficed), a failed
+    /// one included.
+    pub rounds: usize,
     /// Whether every batch matched its reference model.
     pub functional_ok: bool,
     /// The first escalation round's error. It stopped the escalation, and
@@ -177,13 +180,16 @@ pub struct Escalation {
 /// Runs `trials` trials at `seed` on `config(0)`. Then, while some unit
 /// shows strong but not yet significant association, runs up to
 /// `max_rounds` rounds of `2 × trials` trials at `seed + round × 7919` on
-/// `config(round)`. `batch` runs one batch from `(config, trials, seed)`;
-/// [`primitive_batch`] is the one for a Table V primitive.
+/// `config(round)`. Every batch is ingested into one
+/// [`SequentialAnalyzer`], which reports after each. `batch` runs one
+/// batch from `(config, trials, seed)`; [`primitive_batch`] is the one for
+/// a Table V primitive.
 ///
 /// # Errors
 ///
-/// The first batch's error. An escalation round's error is not one: it is
-/// returned in [`Escalation::error`].
+/// The first batch's error. An escalation round's error is not one: it
+/// ends the escalation, the report over the batches before it stands, and
+/// the error is returned in [`Escalation::error`].
 pub fn escalate(
     trials: usize,
     seed: u64,
@@ -193,23 +199,29 @@ pub fn escalate(
 ) -> Result<Escalation, String> {
     let first = batch(config(0), trials, seed)?;
     let mut functional_ok = first.functional_ok;
-    let mut error = None;
-    let outcome =
-        Analyzer::new().analyze_with_escalation(first.result.iterations, max_rounds, |round| {
-            match batch(config(round), trials * 2, seed + round as u64 * 7919) {
-                Ok(extra) => {
-                    functional_ok &= extra.functional_ok;
-                    extra.result.iterations
-                }
-                Err(e) => {
-                    error = Some(format!("escalation round {round}: {e}"));
-                    // An empty batch stops the escalation loop; the verdict
-                    // from the iterations gathered so far stands.
-                    Vec::new()
-                }
+    let mut analyzer = SequentialAnalyzer::default();
+    analyzer.ingest_all(&first.result.iterations);
+    let mut report = analyzer.report();
+    let (mut rounds, mut error) = (0, None);
+    while rounds < max_rounds && report.needs_more_samples() {
+        rounds += 1;
+        microsampler_obs::diag_info!(
+            "escalating: round {rounds}/{max_rounds}, {} iterations so far",
+            analyzer.iterations()
+        );
+        match batch(config(rounds), trials * 2, seed + rounds as u64 * 7919) {
+            Ok(extra) => {
+                functional_ok &= extra.functional_ok;
+                analyzer.ingest_all(&extra.result.iterations);
+                report = analyzer.report();
             }
-        });
-    Ok(Escalation { outcome, functional_ok, error })
+            Err(e) => {
+                error = Some(format!("escalation round {rounds}: {e}"));
+                break;
+            }
+        }
+    }
+    Ok(Escalation { report, rounds, functional_ok, error })
 }
 
 /// [`escalate`]'s batch for a Table V primitive: [`Primitive::run`]
@@ -255,7 +267,7 @@ impl Table6 {
 ///
 /// The stage durations are *not* measured with ad-hoc stopwatches: the
 /// pipeline's own span instrumentation (`simulate` in `Machine::run`,
-/// `parse` in `parse_text_log`, `correlate` in `Analyzer::analyze`,
+/// `parse` in `parse_text_log`, `correlate` in [`analyze`],
 /// `extract` in the feature extractors) is enabled for the duration and
 /// the table is read back out of the span tree — so Table VI doubles as
 /// an end-to-end check of the telemetry layer. Spans an enclosing
@@ -608,6 +620,57 @@ mod tests {
         Primitive::all().into_iter().find(|p| p.name == "constant_time_eq").expect("a primitive")
     }
 
+    /// A batch of `n` iterations per class in which the `i`-th iteration's
+    /// SQ-ADDR snapshot is `sq_addr(label, i)` and every other unit shows
+    /// one constant snapshot.
+    fn batch(n: usize, sq_addr: impl Fn(u64, u64) -> u64) -> Result<PrimitiveOutcome, String> {
+        let mut tracer = microsampler_sim::Tracer::new(TraceConfig::default());
+        tracer.scr_start(0);
+        for i in 0..2 * n as u64 {
+            let label = i % 2;
+            tracer.iter_start(i * 10, label);
+            tracer.begin_cycle(i * 10);
+            for unit in UnitId::ALL {
+                let v = if unit == UnitId::SqAddr { sq_addr(label, i) } else { 7 };
+                tracer.record_row(unit, &[v]);
+            }
+            tracer.iter_end(i * 10 + 1);
+        }
+        tracer.scr_end(u64::MAX);
+        let result = microsampler_sim::RunResult {
+            cycles: 0,
+            exit_code: 0,
+            iterations: tracer.iterations,
+            stats: Default::default(),
+            pipeline: Default::default(),
+            fault_counts: Default::default(),
+        };
+        Ok(PrimitiveOutcome { result, functional_ok: true })
+    }
+
+    #[test]
+    fn escalation_until_significant() {
+        // One iteration per class splits perfectly (V = 1) but cannot be
+        // significant; six can, so one round settles it.
+        let split = |_, trials, _| batch(trials, |label, _| label);
+        let audit = escalate(1, 42, 10, |_| CoreConfig::mega_boom(), split).unwrap();
+        assert_eq!(audit.rounds, 1);
+        assert!(audit.report.unit(UnitId::SqAddr).is_leaky());
+        assert!(!audit.report.needs_more_samples());
+        assert_eq!(audit.report.iterations, 2 + 4);
+    }
+
+    #[test]
+    fn escalation_gives_up_after_max_rounds() {
+        // A fresh SQ-ADDR snapshot on every iteration keeps V at 1 and p
+        // weak, so every round asks for more.
+        let unique = |_, trials, seed: u64| batch(trials, move |_, i| seed + i);
+        let audit = escalate(1, 42, 3, |_| CoreConfig::mega_boom(), unique).unwrap();
+        assert_eq!(audit.rounds, 3);
+        assert!(audit.report.needs_more_samples());
+        assert_eq!(audit.report.iterations, 2 + 3 * 4);
+    }
+
     #[test]
     fn escalation_runs_doubled_batches_at_the_table5_seeds() {
         let prim = eq();
@@ -622,10 +685,10 @@ mod tests {
             primitive_batch(&prim)(config, trials, seed)
         };
         let audit = escalate(4, 42, 2, config, batch).unwrap();
-        assert_eq!(audit.outcome.rounds, 2);
+        assert_eq!(audit.rounds, 2);
         assert_eq!(calls.into_inner(), [(4, 42), (8, 42 + 7919), (8, 42 + 2 * 7919)]);
         assert_eq!(configs.into_inner(), 3, "one configuration per batch");
-        assert_eq!(audit.outcome.total_iterations, 4 + 8 + 8);
+        assert_eq!(audit.report.iterations, 4 + 8 + 8);
         assert!(audit.functional_ok && audit.error.is_none());
     }
 
@@ -642,7 +705,7 @@ mod tests {
         };
         let audit = escalate(4, 42, 4, mega, failing_rounds).unwrap();
         assert_eq!(audit.error.as_deref(), Some("escalation round 1: no more trials"));
-        assert_eq!((audit.outcome.rounds, audit.outcome.total_iterations), (1, 4));
+        assert_eq!((audit.rounds, audit.report.iterations), (1, 4));
         let first = escalate(4, 42, 4, mega, |_, _, _| Err("cannot start".to_string()));
         assert_eq!(first.unwrap_err(), "cannot start");
     }

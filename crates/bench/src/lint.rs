@@ -117,7 +117,7 @@ pub fn lint_crossval(statics: &[LintResult], scale: &Scale) -> CrossReport {
         let audit = |rounds, config: &dyn Fn(usize) -> CoreConfig| {
             let (trials, seed) = (scale.primitive_trials, scale.seed);
             match escalate(trials, seed, rounds, config, batch) {
-                Ok(Escalation { outcome, error: None, .. }) => outcome.report,
+                Ok(Escalation { report, error: None, .. }) => report,
                 Ok(Escalation { error: Some(e), .. }) | Err(e) => panic!("{e}"),
             }
         };

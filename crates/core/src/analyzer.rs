@@ -1,142 +1,45 @@
-use crate::report::{AnalysisReport, UnitReport};
+use crate::report::AnalysisReport;
+use crate::SequentialAnalyzer;
 use microsampler_sim::{IterationTrace, UnitId};
 use microsampler_stats::ContingencyTable;
-use std::collections::BTreeSet;
 
-/// The statistical analysis driver (paper §V-C).
+/// The contingency table of one unit: classes × snapshot hashes (paper
+/// Table II). `timeless` selects the timing-removed hashes.
+pub fn contingency(
+    iterations: &[IterationTrace],
+    unit: UnitId,
+    timeless: bool,
+) -> ContingencyTable<u64, u64> {
+    let mut table = ContingencyTable::new();
+    for it in iterations {
+        let u = it.unit(unit);
+        table.record(it.label, if timeless { u.hash_timeless } else { u.hash });
+    }
+    table
+}
+
+/// Analyzes all sixteen tracked units over `iterations` (paper §V-C): a
+/// default [`SequentialAnalyzer`] ingests them in order and reports, under
+/// the `correlate` span.
 ///
-/// Thresholds default to the paper's: Cramér's V > 0.5 is "strong",
-/// p < 0.05 is "significant"; both are required for a leak verdict. The
-/// thresholds live on the [`Association`](microsampler_stats::Association)
-/// verdict; the analyzer itself is threshold-free and simply computes the
-/// per-unit associations.
-#[derive(Clone, Debug, Default)]
-pub struct Analyzer {
-    _private: (),
-}
-
-impl Analyzer {
-    /// Creates an analyzer.
-    pub fn new() -> Analyzer {
-        Analyzer { _private: () }
-    }
-
-    /// Builds the contingency table for one unit: classes × snapshot
-    /// hashes (paper Table II). `timeless` selects the timing-removed
-    /// hashes.
-    pub fn contingency(
-        &self,
-        iterations: &[IterationTrace],
-        unit: UnitId,
-        timeless: bool,
-    ) -> ContingencyTable<u64, u64> {
-        let _span = microsampler_obs::span::span("contingency");
-        let mut table = ContingencyTable::new();
-        for it in iterations {
-            let u = it.unit(unit);
-            table.record(it.label, if timeless { u.hash_timeless } else { u.hash });
-        }
-        table
-    }
-
-    /// Analyzes all sixteen tracked units.
-    ///
-    /// The per-unit work (two contingency builds + associations) fans out
-    /// across the [`microsampler_par`] worker pool; each unit reads only
-    /// its own snapshot hashes, and results are assembled in canonical
-    /// unit order, so the report is bit-identical at every thread count.
-    pub fn analyze(&self, iterations: &[IterationTrace]) -> AnalysisReport {
-        let _span = microsampler_obs::span::span("correlate");
-        let classes: BTreeSet<u64> = iterations.iter().map(|i| i.label).collect();
-        let units = microsampler_par::map(&UnitId::ALL, |_, &unit| UnitReport {
-            unit,
-            assoc: self.contingency(iterations, unit, false).association(),
-            assoc_timeless: self.contingency(iterations, unit, true).association(),
-        });
-        let dropped_cycles = iterations.iter().map(|i| i.dropped_cycles).sum();
-        let sampled_cycles = iterations.iter().map(|i| i.sampled_cycles()).sum();
-        let mut pipeline = microsampler_sim::PipelineStats::default();
-        for it in iterations {
-            pipeline.add(&it.pipeline);
-        }
-        AnalysisReport {
-            units,
-            iterations: iterations.len(),
-            classes: classes.len(),
-            dropped_cycles,
-            sampled_cycles,
-            pipeline,
-        }
-    }
-
-    /// Analyzes with input escalation (paper §VII-D): while some unit
-    /// shows strong but not-yet-significant association, request another
-    /// batch of iterations from `more` (rounds are 1-indexed; round 0's
-    /// iterations are passed in `initial`). Stops after `max_rounds`
-    /// escalations or when every strong association is significant.
-    pub fn analyze_with_escalation(
-        &self,
-        initial: Vec<IterationTrace>,
-        max_rounds: usize,
-        mut more: impl FnMut(usize) -> Vec<IterationTrace>,
-    ) -> EscalationOutcome {
-        let mut iterations = initial;
-        let mut report = self.analyze(&iterations);
-        let mut rounds = 0;
-        while report.needs_more_samples() && rounds < max_rounds {
-            rounds += 1;
-            microsampler_obs::diag_info!(
-                "escalating: round {rounds}/{max_rounds}, {} iterations so far",
-                iterations.len()
-            );
-            let batch = more(rounds);
-            if batch.is_empty() {
-                break;
-            }
-            iterations.extend(batch);
-            report = self.analyze(&iterations);
-        }
-        EscalationOutcome { report, rounds, total_iterations: iterations.len() }
-    }
-}
-
-/// Result of [`Analyzer::analyze_with_escalation`].
-#[derive(Clone, Debug)]
-pub struct EscalationOutcome {
-    /// The final report.
-    pub report: AnalysisReport,
-    /// Escalation rounds performed (0 = the initial batch sufficed).
-    pub rounds: usize,
-    /// Total iterations analyzed.
-    pub total_iterations: usize,
-}
-
-impl EscalationOutcome {
-    /// Renders the outcome as a JSON value (stable schema: `rounds`,
-    /// `total_iterations`, `report` as
-    /// [`AnalysisReport::to_json`]).
-    pub fn to_json(&self) -> microsampler_obs::Value {
-        microsampler_obs::Value::object()
-            .field("rounds", self.rounds)
-            .field("total_iterations", self.total_iterations)
-            .field("report", self.report.to_json())
-            .build()
-    }
-}
-
-/// One-call analysis with the default analyzer.
+/// The verdict thresholds are the paper's: Cramér's V > 0.5 is "strong",
+/// p < 0.05 is "significant", and a leak needs both. They live on the
+/// [`Association`](microsampler_stats::Association) verdict.
 pub fn analyze(iterations: &[IterationTrace]) -> AnalysisReport {
-    Analyzer::new().analyze(iterations)
+    let _span = microsampler_obs::span::span("correlate");
+    let mut analyzer = SequentialAnalyzer::default();
+    analyzer.ingest_all(iterations);
+    analyzer.report()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use microsampler_sim::{TraceConfig, Tracer};
 
     /// Builds synthetic iterations where `unit`'s snapshot is `variant`
     /// per class when `leak` is true, identical otherwise.
-    fn synthetic(n_per_class: usize, leak_unit: Option<UnitId>) -> Vec<IterationTrace> {
+    pub(crate) fn synthetic(n_per_class: usize, leak_unit: Option<UnitId>) -> Vec<IterationTrace> {
         let mut tracer = Tracer::new(TraceConfig::default());
         tracer.scr_start(0);
         for i in 0..2 * n_per_class {
@@ -199,48 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn escalation_until_significant() {
-        let analyzer = Analyzer::new();
-        let outcome =
-            analyzer.analyze_with_escalation(synthetic(1, Some(UnitId::LqAddr)), 10, |_round| {
-                synthetic(4, Some(UnitId::LqAddr))
-            });
-        assert!(outcome.rounds >= 1, "escalation should have been needed");
-        assert!(outcome.report.unit(UnitId::LqAddr).is_leaky());
-        assert!(!outcome.report.needs_more_samples());
-        assert!(outcome.total_iterations > 2);
-    }
-
-    #[test]
-    fn escalation_gives_up_after_max_rounds() {
-        let analyzer = Analyzer::new();
-        // Every batch is 1-per-class: p stays weak; stops at max_rounds.
-        let outcome =
-            analyzer.analyze_with_escalation(synthetic(1, Some(UnitId::SqPc)), 3, |_round| {
-                synthetic(0, Some(UnitId::SqPc))
-            });
-        assert!(outcome.rounds <= 3);
-    }
-
-    #[test]
-    fn analysis_identical_at_every_thread_count() {
-        let iters = synthetic(25, Some(UnitId::LfbAddr));
-        microsampler_par::set_threads(Some(1));
-        let serial = analyze(&iters);
-        for threads in [2, 7, 16] {
-            microsampler_par::set_threads(Some(threads));
-            let parallel = analyze(&iters);
-            assert_eq!(parallel, serial, "threads={threads}");
-            assert_eq!(
-                parallel.to_json().render_compact(),
-                serial.to_json().render_compact(),
-                "threads={threads}"
-            );
-        }
-        microsampler_par::set_threads(None);
-    }
-
-    #[test]
     fn faulted_traces_propagate_into_degraded_flag() {
         let faults = microsampler_sim::FaultConfig {
             seed: 11,
@@ -270,7 +131,7 @@ mod tests {
     #[test]
     fn contingency_matches_paper_shape() {
         let iters = synthetic(10, Some(UnitId::SqAddr));
-        let t = Analyzer::new().contingency(&iters, UnitId::SqAddr, false);
+        let t = contingency(&iters, UnitId::SqAddr, false);
         assert_eq!(t.class_count(), 2);
         assert_eq!(t.category_count(), 2); // one hash per class
         assert_eq!(t.total(), 20);
@@ -294,8 +155,8 @@ mod tests {
         }
         tracer.scr_end(100);
         let iters = tracer.iterations;
-        let a = Analyzer::new().contingency(&iters, UnitId::SqAddr, false);
-        let b = Analyzer::new().contingency(&iters, UnitId::SqAddr, true);
+        let a = contingency(&iters, UnitId::SqAddr, false);
+        let b = contingency(&iters, UnitId::SqAddr, true);
         assert_eq!(a.category_count(), 1);
         assert_eq!(b.category_count(), 1);
         assert_ne!(a.categories().next().unwrap(), b.categories().next().unwrap());

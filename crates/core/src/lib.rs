@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use microsampler_core::{analyze, Analyzer};
+//! use microsampler_core::analyze;
 //! use microsampler_kernels::modexp::{ModexpKernel, ModexpVariant};
 //! use microsampler_sim::{CoreConfig, TraceConfig};
 //!
@@ -45,7 +45,7 @@ mod features;
 mod report;
 mod sequential;
 
-pub use analyzer::{analyze, Analyzer, EscalationOutcome};
+pub use analyzer::{analyze, contingency};
 pub use crossval::{classify, classify_spec, CrossReport, CrossRow, CrossVerdict, SpecVerdict};
 pub use features::{
     feature_ordering, feature_uniqueness, map_features, OrderMismatch, OrderingReport,
@@ -56,4 +56,4 @@ pub use sequential::{SequentialAnalyzer, StopLook, StopTrace, STOP_SCHEMA};
 
 // Re-exported so downstream users need only this crate for the common path.
 pub use microsampler_sim::{parse_text_log, IterationTrace, TraceConfig, UnitId, UnitSet};
-pub use microsampler_stats::{Association, SeqConfig, SeqVerdict, StreamingAssociation, Strength};
+pub use microsampler_stats::{Association, SeqConfig, SeqVerdict, Strength};

@@ -91,8 +91,11 @@ impl AnalysisReport {
 
     /// Units flagged as leaky, most strongly associated first: ranked by
     /// Cramér's V rounded to the three decimals reports print, then in
-    /// canonical order, so the ranking never rests on the last bits of a
-    /// float sum.
+    /// canonical order. The rounding keeps the ranking off the last bit of
+    /// a float: units with perfect association read V = 1.0 or
+    /// 0.9999999999999999 depending on their table (fig9 at the verdict
+    /// corpus's scale has both), and exact V would rank one ahead of the
+    /// other.
     pub fn leaky_units(&self) -> Vec<&UnitReport> {
         let mut v: Vec<&UnitReport> = self.units.iter().filter(|u| u.is_leaky()).collect();
         // A stable sort keeps units with equal printed V in canonical order.

@@ -1,17 +1,17 @@
-//! Streaming (anytime) analysis: the batch [`Analyzer`](crate::Analyzer)
-//! pipeline restructured around incremental contingency tables so the
-//! audit can *peek* at the verdict after every batch of trials and stop
-//! as soon as the confidence sequence closes.
+//! The one analysis state: per unit, the class × snapshot-hash
+//! contingency tables of the paper's §V-C, kept as iterations arrive.
 //!
-//! A [`SequentialAnalyzer`] ingests [`IterationTrace`]s one at a time,
-//! maintaining the same 16-unit × {timed, timeless} association state the
-//! batch analyzer computes, plus the iteration/class/drop counters and
-//! pipeline sums. Its [`report`](SequentialAnalyzer::report) is
-//! bit-identical to [`analyze`](crate::analyze) over the same iterations
-//! in the same order (property-tested in `crates/stats` and
-//! `tests/sequential.rs`); its [`look`](SequentialAnalyzer::look) judges
-//! all 32 associations against a [`SeqConfig`] confidence sequence and
-//! appends one entry to the run's [`StopTrace`].
+//! A [`SequentialAnalyzer`] ingests [`IterationTrace`]s one at a time into
+//! 16 units × {timed, timeless} tables, plus the iteration, class and drop
+//! counters and the pipeline sums. Every verdict reads it:
+//! [`analyze`](crate::analyze) ingests every iteration and reports; the
+//! §VII-D escalation ingests each batch into one analyzer and reports
+//! after each; and the sequential audit [`look`](SequentialAnalyzer::look)s
+//! between batches, judging all 32 associations against a [`SeqConfig`]
+//! confidence sequence and appending one entry to the run's [`StopTrace`].
+//! An association depends only on its table's counts, so a look or a
+//! report after any split into batches is bit-identical to one over all
+//! the iterations at once.
 //!
 //! The stop trace is the audit's statistical receipt: every look's
 //! sample size, confidence radius, extreme statistics, and verdict, in
@@ -22,7 +22,7 @@
 use crate::report::{AnalysisReport, UnitReport};
 use microsampler_obs::Value;
 use microsampler_sim::{IterationTrace, UnitId};
-use microsampler_stats::{SeqConfig, SeqVerdict, StreamingAssociation};
+use microsampler_stats::{Association, ContingencyTable, SeqConfig, SeqVerdict};
 use std::collections::BTreeSet;
 
 /// Schema tag on serialized stopping traces.
@@ -112,14 +112,21 @@ impl StopTrace {
     }
 }
 
-/// Incremental counterpart of [`Analyzer`](crate::Analyzer): same
-/// analysis state, maintained per ingested iteration instead of
-/// recomputed from scratch, plus the confidence-sequence bookkeeping.
+/// The one analysis state behind every verdict (see the module docs):
+/// per-unit contingency tables kept as iterations are ingested, plus the
+/// confidence-sequence bookkeeping of the sequential audit.
+///
+/// The 32 associations over everything ingested are computed at most once
+/// between ingests: a [`report`](SequentialAnalyzer::report) after a
+/// [`look`](SequentialAnalyzer::look) at the same `n` reuses the look's.
 #[derive(Clone, Debug)]
 pub struct SequentialAnalyzer {
     config: SeqConfig,
     // Indexed like UnitId::ALL; .0 is the timed table, .1 timeless.
-    tables: Vec<(StreamingAssociation, StreamingAssociation)>,
+    tables: Vec<(ContingencyTable<u64, u64>, ContingencyTable<u64, u64>)>,
+    // Each unit's timed then timeless association over the tables, until
+    // the next ingest.
+    assocs: Option<Vec<Association>>,
     classes: BTreeSet<u64>,
     iterations: usize,
     dropped_cycles: u64,
@@ -139,10 +146,8 @@ impl SequentialAnalyzer {
     pub fn new(config: SeqConfig) -> SequentialAnalyzer {
         SequentialAnalyzer {
             config,
-            tables: UnitId::ALL
-                .iter()
-                .map(|_| (StreamingAssociation::new(), StreamingAssociation::new()))
-                .collect(),
+            tables: vec![Default::default(); UnitId::ALL.len()],
+            assocs: None,
             classes: BTreeSet::new(),
             iterations: 0,
             dropped_cycles: 0,
@@ -152,15 +157,16 @@ impl SequentialAnalyzer {
         }
     }
 
-    /// Streams one iteration in — the incremental mirror of what
-    /// [`Analyzer::contingency`](crate::Analyzer::contingency) records
-    /// for every unit, plus the report counters.
+    /// Streams one iteration in: its label and each unit's two snapshot
+    /// hashes into the unit's tables (as [`contingency`](crate::contingency)
+    /// records them), plus the report counters.
     pub fn ingest(&mut self, it: &IterationTrace) {
         for (i, &unit) in UnitId::ALL.iter().enumerate() {
             let u = it.unit(unit);
-            self.tables[i].0.observe(it.label, u.hash);
-            self.tables[i].1.observe(it.label, u.hash_timeless);
+            self.tables[i].0.record(it.label, u.hash);
+            self.tables[i].1.record(it.label, u.hash_timeless);
         }
+        self.assocs = None;
         self.classes.insert(it.label);
         self.iterations += 1;
         self.dropped_cycles += it.dropped_cycles;
@@ -190,6 +196,23 @@ impl SequentialAnalyzer {
         &self.trace
     }
 
+    /// Each unit's timed then timeless association over everything
+    /// ingested, computed once after each ingest. Debug builds check that
+    /// a reused set equals one computed afresh.
+    fn associations(&mut self) -> &[Association] {
+        let tables = &self.tables;
+        let compute = || -> Vec<Association> {
+            tables
+                .iter()
+                .flat_map(|(timed, timeless)| [timed.association(), timeless.association()])
+                .collect()
+        };
+        if let Some(kept) = &self.assocs {
+            debug_assert_eq!(*kept, compute(), "a reused association differs from its table's");
+        }
+        self.assocs.get_or_insert_with(compute)
+    }
+
     /// Performs one confidence-sequence check over all 32 associations,
     /// records it in the stopping trace, and latches the verdict once
     /// decided. `trials` is the budget spent so far in the caller's
@@ -199,27 +222,10 @@ impl SequentialAnalyzer {
         if self.trace.verdict.is_decided() {
             return self.trace.verdict;
         }
-        let assocs: Vec<microsampler_stats::Association> = self
-            .tables
-            .iter_mut()
-            .flat_map(|(timed, timeless)| [timed.current(), timeless.current()])
-            .collect();
-        let n = self.tables[0].0.n();
-        let look = self.trace.looks.len() as u64 + 1;
-        let verdict = self.config.judge(n, look, assocs.iter());
-        self.trace.looks.push(StopLook {
-            look,
-            trials,
-            n,
-            radius: self.config.radius(n, look),
-            p_threshold: self.config.p_threshold(look),
-            max_v: assocs.iter().map(|a| a.cramers_v).fold(0.0, f64::max),
-            max_v_corrected: assocs.iter().map(|a| a.cramers_v_corrected).fold(0.0, f64::max),
-            min_p: assocs.iter().map(|a| a.p_value).fold(1.0, f64::min),
-            verdict,
-        });
-        self.trace.verdict = verdict;
-        verdict
+        let stop = self.stop_look(trials, None);
+        self.trace.looks.push(stop);
+        self.trace.verdict = stop.verdict;
+        stop.verdict
     }
 
     /// Resolves a still-open sequence at budget exhaustion by falling
@@ -232,52 +238,45 @@ impl SequentialAnalyzer {
         if self.trace.verdict.is_decided() {
             return self.trace.verdict;
         }
-        let leaky = self
-            .tables
-            .iter_mut()
-            .any(|(timed, timeless)| timed.current().is_leak() || timeless.current().is_leak());
+        let leaky = self.associations().iter().any(Association::is_leak);
         let verdict = if leaky { SeqVerdict::Leaky } else { SeqVerdict::Clean };
         self.trace.verdict = verdict;
         self.trace.fallback = true;
-        if let Some(last) = self.trace.looks.last_mut() {
-            if last.trials == trials {
-                last.verdict = verdict;
-                return verdict;
-            }
+        if let Some(last) = self.trace.looks.last_mut().filter(|l| l.trials == trials) {
+            last.verdict = verdict;
+            return verdict;
         }
-        let n = self.tables[0].0.n();
-        let look = self.trace.looks.len() as u64 + 1;
-        let assocs: Vec<microsampler_stats::Association> = self
-            .tables
-            .iter_mut()
-            .flat_map(|(timed, timeless)| [timed.current(), timeless.current()])
-            .collect();
-        self.trace.looks.push(StopLook {
-            look,
-            trials,
-            n,
-            radius: self.config.radius(n, look),
-            p_threshold: self.config.p_threshold(look),
-            max_v: assocs.iter().map(|a| a.cramers_v).fold(0.0, f64::max),
-            max_v_corrected: assocs.iter().map(|a| a.cramers_v_corrected).fold(0.0, f64::max),
-            min_p: assocs.iter().map(|a| a.p_value).fold(1.0, f64::min),
-            verdict,
-        });
+        let stop = self.stop_look(trials, Some(verdict));
+        self.trace.looks.push(stop);
         verdict
     }
 
-    /// Builds the full [`AnalysisReport`] from the streaming state —
-    /// bit-identical to [`analyze`](crate::analyze) over the same
-    /// iterations in the same order.
+    /// The stop-trace entry of the next look, taken at `trials` over
+    /// everything ingested, with `verdict` or, for `None`, the confidence
+    /// sequence's verdict.
+    fn stop_look(&mut self, trials: u64, verdict: Option<SeqVerdict>) -> StopLook {
+        let (config, n) = (self.config, self.iterations as u64);
+        let look = self.trace.looks.len() as u64 + 1;
+        let assocs = self.associations();
+        StopLook {
+            look,
+            trials,
+            n,
+            radius: config.radius(n, look),
+            p_threshold: config.p_threshold(look),
+            max_v: assocs.iter().map(|a| a.cramers_v).fold(0.0, f64::max),
+            max_v_corrected: assocs.iter().map(|a| a.cramers_v_corrected).fold(0.0, f64::max),
+            min_p: assocs.iter().map(|a| a.p_value).fold(1.0, f64::min),
+            verdict: verdict.unwrap_or_else(|| config.judge(n, look, assocs)),
+        }
+    }
+
+    /// The full [`AnalysisReport`] over everything ingested.
     pub fn report(&mut self) -> AnalysisReport {
         let units = UnitId::ALL
             .iter()
-            .enumerate()
-            .map(|(i, &unit)| UnitReport {
-                unit,
-                assoc: self.tables[i].0.table().association(),
-                assoc_timeless: self.tables[i].1.table().association(),
-            })
+            .zip(self.associations().chunks(2))
+            .map(|(&unit, pair)| UnitReport { unit, assoc: pair[0], assoc_timeless: pair[1] })
             .collect();
         AnalysisReport {
             units,
@@ -293,41 +292,102 @@ impl SequentialAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze;
+    use crate::analyzer::tests::synthetic;
     use microsampler_sim::{TraceConfig, Tracer};
+    use proptest::prelude::*;
 
-    fn synthetic(n_per_class: usize, leak_unit: Option<UnitId>) -> Vec<IterationTrace> {
+    /// One iteration per `(label, values)`: two sampled cycles on which unit
+    /// `u` shows `[values[u], c]` for odd values (rows the timeless hash
+    /// consolidates differently) and `[values[u]]` for even ones.
+    fn iterations(spec: &[(u64, Vec<u64>)]) -> Vec<IterationTrace> {
         let mut tracer = Tracer::new(TraceConfig::default());
         tracer.scr_start(0);
-        for i in 0..2 * n_per_class {
-            let label = (i % 2) as u64;
-            tracer.iter_start(i as u64 * 10, label);
-            for c in 0..3u64 {
-                tracer.begin_cycle(i as u64 * 10 + c);
-                for unit in UnitId::ALL {
-                    let row = if Some(unit) == leak_unit {
-                        vec![0x1000 + label * 0x10, c]
-                    } else {
-                        vec![0x1000, c]
-                    };
-                    tracer.record_row(unit, &row);
+        for (i, (label, values)) in spec.iter().enumerate() {
+            let t = i as u64 * 10;
+            tracer.iter_start(t, *label);
+            for c in 0..2 {
+                tracer.begin_cycle(t + c);
+                for (&unit, &v) in UnitId::ALL.iter().zip(values) {
+                    let row = [v, c];
+                    tracer.record_row(unit, &row[..1 + (v % 2) as usize]);
                 }
             }
-            tracer.iter_end(i as u64 * 10 + 3);
+            tracer.iter_end(t + 3);
         }
         tracer.scr_end(u64::MAX);
         tracer.iterations
     }
 
-    #[test]
-    fn streaming_report_is_bit_identical_to_batch() {
-        for leak in [None, Some(UnitId::SqAddr)] {
-            let iters = synthetic(20, leak);
-            let batch = crate::analyze(&iters);
+    /// The report's floats as bits, unit by unit, for exact comparison.
+    fn bits(report: &AnalysisReport) -> Vec<[u64; 8]> {
+        let b = |a: &Association| [a.chi2, a.p_value, a.cramers_v, a.cramers_v_corrected];
+        report
+            .units
+            .iter()
+            .map(|u| {
+                let (t, l) = (b(&u.assoc), b(&u.assoc_timeless));
+                [t[0], t[1], t[2], t[3], l[0], l[1], l[2], l[3]].map(f64::to_bits)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Iterations ingested in random batches, with looks, resolves and
+        /// reports between them, report what `analyze` reports over the
+        /// same prefix, to the bit and in JSON, whichever associations were
+        /// reused.
+        #[test]
+        fn streaming_report_is_bit_identical_to_batch(
+            spec in proptest::collection::vec((0u64..3, proptest::collection::vec(0u64..4, 16)), 1..48),
+            steps in proptest::collection::vec((1usize..12, 0u8..8), 0..8),
+        ) {
+            let iters = iterations(&spec);
             let mut seq = SequentialAnalyzer::default();
-            seq.ingest_all(&iters);
-            let streamed = seq.report();
-            assert_eq!(streamed, batch);
-            assert_eq!(streamed.to_json().render_compact(), batch.to_json().render_compact());
+            let mut done = 0;
+            for (len, ops) in steps {
+                let end = (done + len).min(iters.len());
+                seq.ingest_all(&iters[done..end]);
+                done = end;
+                if ops & 1 != 0 {
+                    seq.look(done as u64);
+                }
+                if ops & 2 != 0 {
+                    seq.resolve(done as u64);
+                }
+                if ops & 4 != 0 {
+                    let (streamed, batch) = (seq.report(), analyze(&iters[..done]));
+                    prop_assert_eq!(bits(&streamed), bits(&batch));
+                    prop_assert_eq!(streamed, batch);
+                }
+            }
+            seq.ingest_all(&iters[done..]);
+            let (streamed, batch) = (seq.report(), analyze(&iters));
+            prop_assert_eq!(bits(&streamed), bits(&batch));
+            prop_assert_eq!(streamed.to_json().render_compact(), batch.to_json().render_compact());
+            prop_assert_eq!(streamed, batch);
+        }
+    }
+
+    /// Bit-equality holds at *every* prefix, with a look before each
+    /// report: peeking never lets the kept associations drift from the
+    /// tables.
+    #[test]
+    fn streaming_matches_batch_bit_for_bit() {
+        let iters = synthetic(12, Some(UnitId::SqAddr));
+        let mut seq = SequentialAnalyzer::default();
+        for (i, it) in iters.iter().enumerate() {
+            seq.ingest(it);
+            seq.look(i as u64 + 1);
+            let batch = analyze(&iters[..=i]);
+            assert_eq!(bits(&seq.report()), bits(&batch), "prefix {}", i + 1);
+            let v =
+                batch.units.iter().flat_map(|u| [u.assoc.cramers_v, u.assoc_timeless.cramers_v]);
+            let max_v = v.fold(0.0, f64::max);
+            if let Some(look) = seq.trace().looks.get(i) {
+                assert_eq!(look.max_v.to_bits(), max_v.to_bits(), "look {}", i + 1);
+            }
         }
     }
 

@@ -39,7 +39,7 @@ mod siphash;
 
 pub use association::{Association, Strength, CRAMERS_V_STRONG, P_SIGNIFICANT};
 pub use contingency::ContingencyTable;
-pub use sequential::{SeqConfig, SeqVerdict, StreamingAssociation};
+pub use sequential::{SeqConfig, SeqVerdict};
 pub use siphash::{siphash13, siphash24, SipHasher};
 
 /// Pearson's chi-squared statistic for a table of observed counts.

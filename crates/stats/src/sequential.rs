@@ -1,16 +1,14 @@
 //! Sequential (anytime-valid) association statistics.
 //!
-//! The batch pipeline re-walks every recorded observation each time it
-//! wants an [`Association`]; at `n` observations a verdict check costs
-//! `O(n)`. This module supports *peeking*: observations stream into a
-//! [`StreamingAssociation`] one at a time (`O(log cells)` each), and a
-//! verdict check recomputes the association from the incremental counts
-//! in `O(cells log cells)` with [`ContingencyTable::association`], whose
-//! χ² sum depends only on the counts: the result is **bit-identical**
-//! whatever order the observations arrived in (property-tested in
-//! `tests/properties.rs`).
+//! A fixed-budget verdict is checked once; a sequential one is checked at
+//! every *look* while observations keep arriving. The observations stream
+//! into a [`ContingencyTable`](crate::ContingencyTable) one at a time
+//! (`O(log cells)` each), and a look recomputes the association from the
+//! counts in `O(cells log cells)`. Its χ² sum depends only on the counts,
+//! so the result is **bit-identical** whatever order the observations
+//! arrived in (property-tested in `tests/properties.rs`).
 //!
-//! On top of the streaming estimates, [`SeqConfig`] defines a stitched
+//! On top of those estimates, [`SeqConfig`] defines a stitched
 //! confidence-sequence boundary that turns the paper's fixed-budget leak
 //! rule (V > 0.5 **and** p < 0.05) into a three-way *anytime* verdict:
 //!
@@ -39,7 +37,6 @@
 //! run.
 
 use crate::association::Association;
-use crate::ContingencyTable;
 
 /// Three-way anytime verdict from a confidence sequence.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -169,126 +166,21 @@ impl SeqConfig {
     }
 }
 
-/// An incrementally-maintained contingency table with an
-/// `O(cells log cells)` association recomputation that is bit-identical
-/// to the batch path.
-///
-/// The table itself is the same [`ContingencyTable`] the batch analyzer
-/// uses (per-observation updates are `O(log cells)`); what this type
-/// adds is [`StreamingAssociation::current`], which computes the
-/// association from the counts — no re-walk of the raw observations — and
-/// caches it until the next observation.
-#[derive(Clone, Debug, Default)]
-pub struct StreamingAssociation {
-    table: ContingencyTable<u64, u64>,
-    cached: Option<Association>,
-}
-
-impl StreamingAssociation {
-    /// Creates an empty accumulator.
-    pub fn new() -> StreamingAssociation {
-        StreamingAssociation::default()
-    }
-
-    /// Streams one observation in.
-    pub fn observe(&mut self, class: u64, category: u64) {
-        self.table.record(class, category);
-        self.cached = None;
-    }
-
-    /// Merges another accumulator in (shard reduction). Counts are
-    /// integers, so the merged table — and therefore the association —
-    /// is independent of shard boundaries and merge order.
-    pub fn merge(&mut self, other: &StreamingAssociation) {
-        for class in other.table.classes().copied().collect::<Vec<_>>() {
-            for (cat, n) in other.table.categories_of(&class) {
-                self.table.record_n(class, *cat, n);
-            }
-        }
-        self.cached = None;
-    }
-
-    /// The underlying table.
-    pub fn table(&self) -> &ContingencyTable<u64, u64> {
-        &self.table
-    }
-
-    /// Total observations streamed in.
-    pub fn n(&self) -> u64 {
-        self.table.total()
-    }
-
-    /// The association over everything observed so far, recomputed from
-    /// the incremental counts (and cached until the next observation).
-    pub fn current(&mut self) -> Association {
-        if let Some(a) = &self.cached {
-            return *a;
-        }
-        let a = self.table.association();
-        self.cached = Some(a);
-        a
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn bits(a: &Association) -> [u64; 5] {
-        [
-            a.chi2.to_bits(),
-            a.p_value.to_bits(),
-            a.cramers_v.to_bits(),
-            a.cramers_v_corrected.to_bits(),
-            a.dof,
-        ]
-    }
-
-    #[test]
-    fn streaming_matches_batch_bit_for_bit() {
-        let obs = [(0u64, 10u64), (1, 11), (0, 10), (1, 10), (0, 12), (1, 11), (0, 10)];
-        let mut acc = StreamingAssociation::new();
-        let mut table = ContingencyTable::new();
-        for (i, &(c, k)) in obs.iter().enumerate() {
-            acc.observe(c, k);
-            table.record(c, k);
-            // Bit-equality must hold at *every* prefix, not just the end
-            // — that is what makes peeking free of drift.
-            assert_eq!(bits(&acc.current()), bits(&table.association()), "prefix {}", i + 1);
-        }
-    }
-
-    #[test]
-    fn merge_is_shard_independent() {
-        let obs: Vec<(u64, u64)> = (0..97).map(|i| (i % 3, (i * 7) % 5)).collect();
-        let mut whole = StreamingAssociation::new();
-        for &(c, k) in &obs {
-            whole.observe(c, k);
-        }
-        for shards in [1usize, 2, 4] {
-            let mut parts = vec![StreamingAssociation::new(); shards];
-            for (i, &(c, k)) in obs.iter().enumerate() {
-                parts[i % shards].observe(c, k);
-            }
-            let mut merged = StreamingAssociation::new();
-            for p in &parts {
-                merged.merge(p);
-            }
-            assert_eq!(bits(&merged.current()), bits(&whole.current()), "shards={shards}");
-            assert_eq!(merged.n(), whole.n());
-        }
-    }
+    use crate::ContingencyTable;
 
     #[test]
     fn degenerate_tables_are_undecidable_then_clean() {
         // One category only: V = 0 forever; the sequence closes clean
         // once the radius shrinks below the strong threshold.
         let cfg = SeqConfig::default();
-        let mut acc = StreamingAssociation::new();
+        let mut table = ContingencyTable::new();
         let mut verdicts = Vec::new();
         for i in 0..64u64 {
-            acc.observe(i % 2, 42);
-            verdicts.push(cfg.judge(acc.n(), i / 8 + 1, [&acc.current()]));
+            table.record(i % 2, 42u64);
+            verdicts.push(cfg.judge(table.total(), i / 8 + 1, [&table.association()]));
         }
         assert_eq!(verdicts[0], SeqVerdict::Undecided, "min_n gate holds");
         assert_eq!(*verdicts.last().unwrap(), SeqVerdict::Clean);
@@ -297,36 +189,37 @@ mod tests {
     #[test]
     fn perfect_split_goes_leaky() {
         let cfg = SeqConfig::default();
-        let mut acc = StreamingAssociation::new();
+        let mut table = ContingencyTable::new();
         let mut verdict = SeqVerdict::Undecided;
         let mut look = 0;
         for i in 0..64u64 {
-            acc.observe(i % 2, 100 + i % 2);
+            table.record(i % 2, 100 + i % 2);
             if i % 8 == 7 {
                 look += 1;
-                verdict = cfg.judge(acc.n(), look, [&acc.current()]);
+                verdict = cfg.judge(table.total(), look, [&table.association()]);
                 if verdict.is_decided() {
                     break;
                 }
             }
         }
         assert_eq!(verdict, SeqVerdict::Leaky);
-        assert!(acc.n() < 64, "a perfect split must close early (n={})", acc.n());
+        assert!(table.total() < 64, "a perfect split must close early (n={})", table.total());
     }
 
     #[test]
     fn one_strong_association_blocks_clean() {
         let cfg = SeqConfig::default();
-        let mut strong = StreamingAssociation::new();
-        let mut weak = StreamingAssociation::new();
+        let mut strong = ContingencyTable::new();
+        let mut weak = ContingencyTable::new();
         for i in 0..256u64 {
-            strong.observe(i % 2, 100 + i % 2);
-            weak.observe(i % 2, 7);
+            strong.record(i % 2, 100 + i % 2);
+            weak.record(i % 2, 7u64);
         }
+        let (strong, weak) = (strong.association(), weak.association());
         // Alone, the weak association is clean...
-        assert_eq!(cfg.judge(256, 4, [&weak.current()]), SeqVerdict::Clean);
+        assert_eq!(cfg.judge(256, 4, [&weak]), SeqVerdict::Clean);
         // ...but the family verdict follows the strong one.
-        assert_eq!(cfg.judge(256, 4, [&weak.current(), &strong.current()]), SeqVerdict::Leaky);
+        assert_eq!(cfg.judge(256, 4, [&weak, &strong]), SeqVerdict::Leaky);
     }
 
     #[test]

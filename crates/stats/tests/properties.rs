@@ -3,9 +3,14 @@
 
 use microsampler_stats::{
     chi_squared, chi_squared_p_value, cramers_v, cramers_v_corrected, gamma, siphash13,
-    ContingencyTable, SipHasher, StreamingAssociation,
+    Association, ContingencyTable, SipHasher,
 };
 use proptest::prelude::*;
+
+/// An association's floating-point fields as bits, for exact comparison.
+fn bits(a: &Association) -> [u64; 4] {
+    [a.chi2, a.p_value, a.cramers_v, a.cramers_v_corrected].map(f64::to_bits)
+}
 
 fn table_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
     // Up to 4 classes x 12 categories with counts 0..50.
@@ -96,17 +101,16 @@ proptest! {
         prop_assert!(p2 <= p1 + 1e-12, "p must not increase with chi2");
     }
 
-    /// The incremental table and its streaming association must be
-    /// *bit-identical* (exact f64 equality, not approximate) to the
-    /// batch computation, no matter what order the observations arrive
-    /// in — the invariant that makes sequential looks trustworthy.
+    /// A table's association must be *bit-identical* (exact f64 equality,
+    /// not approximate) whatever order its observations were recorded in:
+    /// the invariant that lets a sequential look over an incrementally
+    /// recorded table stand for the batch answer.
     #[test]
-    fn streaming_association_is_bit_identical_to_batch_under_any_order(
+    fn association_is_bit_identical_under_any_recording_order(
         obs in proptest::collection::vec((0u64..3, 0u64..8), 1..300),
         seed in any::<u64>(),
     ) {
         let table: ContingencyTable<u64, u64> = obs.iter().copied().collect();
-        let batch = table.association();
         // Deterministic Fisher–Yates shuffle driven by the seeded LCG.
         let mut shuffled = obs.clone();
         let mut state = seed | 1;
@@ -117,19 +121,16 @@ proptest! {
             let j = (state >> 33) as usize % (i + 1);
             shuffled.swap(i, j);
         }
-        let mut streaming = StreamingAssociation::new();
-        for &(class, category) in &shuffled {
-            streaming.observe(class, category);
-        }
-        prop_assert_eq!(streaming.n(), batch.n);
-        prop_assert_eq!(streaming.current(), batch);
+        let reordered: ContingencyTable<u64, u64> = shuffled.into_iter().collect();
+        prop_assert_eq!(bits(&reordered.association()), bits(&table.association()));
+        prop_assert_eq!(reordered.association(), table.association());
     }
 
     /// Relabelling a table's categories by an injective map (here a
     /// bijection of `u64`, so the labels' order changes too) leaves its
-    /// association bit-identical, batch and streaming: the statistics see
-    /// only which observations share a category, as a relabelled snapshot
-    /// hash would leave them.
+    /// association bit-identical: the statistics see only which
+    /// observations share a category, as a relabelled snapshot hash would
+    /// leave them.
     #[test]
     fn association_is_bit_identical_under_category_relabelling(
         obs in proptest::collection::vec((0u64..3, 0u64..8), 1..300),
@@ -140,45 +141,8 @@ proptest! {
         let table: ContingencyTable<u64, u64> = obs.iter().copied().collect();
         let relabelled: ContingencyTable<u64, u64> =
             obs.iter().map(|&(class, k)| (class, relabel(k))).collect();
-        let mut streaming = StreamingAssociation::new();
-        for &(class, k) in &obs {
-            streaming.observe(class, relabel(k));
-        }
-        let batch = table.association();
-        let bits = |a: &microsampler_stats::Association| {
-            [a.chi2, a.p_value, a.cramers_v, a.cramers_v_corrected].map(f64::to_bits)
-        };
-        prop_assert_eq!(bits(&relabelled.association()), bits(&batch));
-        prop_assert_eq!(bits(&streaming.current()), bits(&batch));
-        prop_assert_eq!(streaming.current(), batch);
-    }
-
-    /// Splitting the observations across 1, 2, or 4 shards (the worker
-    /// pool's thread counts) and merging must reproduce the unsharded
-    /// association bit-for-bit: merges are integer count sums, so the
-    /// final table — and every float derived from it — cannot depend on
-    /// the shard layout.
-    #[test]
-    fn sharded_merge_is_bit_identical_at_any_thread_count(
-        obs in proptest::collection::vec((0u64..4, 0u64..10), 1..300),
-        shards in prop_oneof![Just(1usize), Just(2), Just(4)],
-    ) {
-        let mut whole = StreamingAssociation::new();
-        for &(class, category) in &obs {
-            whole.observe(class, category);
-        }
-        let expected = whole.current();
-        let mut parts: Vec<StreamingAssociation> =
-            (0..shards).map(|_| StreamingAssociation::new()).collect();
-        for (i, &(class, category)) in obs.iter().enumerate() {
-            parts[i % shards].observe(class, category);
-        }
-        let mut merged = StreamingAssociation::new();
-        for part in &parts {
-            merged.merge(part);
-        }
-        prop_assert_eq!(merged.n(), obs.len() as u64);
-        prop_assert_eq!(merged.current(), expected);
+        prop_assert_eq!(bits(&relabelled.association()), bits(&table.association()));
+        prop_assert_eq!(relabelled.association(), table.association());
     }
 
     #[test]

@@ -19,9 +19,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // at a fresh seed, while some unit's V is strong but not yet
         // significant. A failed round ends the escalation.
         let audit = escalate(trials, 7, 3, |_| CoreConfig::mega_boom(), primitive_batch(&prim))?;
-        let outcome = &audit.outcome;
-        let max_v = outcome.report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max);
-        let verdict = if outcome.report.is_leaky() {
+        let report = &audit.report;
+        let max_v = report.units.iter().map(|u| u.assoc.cramers_v).fold(0.0f64, f64::max);
+        let verdict = if report.is_leaky() {
             flagged += 1;
             "LEAK"
         } else {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             if audit.functional_ok { "ok" } else { "FAIL" },
             verdict,
             max_v,
-            outcome.total_iterations,
+            report.iterations,
         );
     }
     println!("\n{flagged}/27 primitives flagged (paper: none of these leak; CRYPTO_memcmp does — see the transient_memcmp example)");

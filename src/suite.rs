@@ -22,7 +22,7 @@ pub use microsampler_stats as stats;
 /// The names most users need, in one import.
 pub mod prelude {
     pub use microsampler_core::{
-        analyze, feature_ordering, feature_uniqueness, AnalysisReport, Analyzer, UnitId,
+        analyze, feature_ordering, feature_uniqueness, AnalysisReport, UnitId,
     };
     pub use microsampler_isa::asm::assemble;
     pub use microsampler_isa::{Program, Reg};
