@@ -798,25 +798,6 @@ fn compact_torn_tail(path: &Path) {
     }
 }
 
-/// Key-count look points for a sequential sweep over `n_keys` keys:
-/// doubling boundaries from `max(n_keys/8, 1)`, always ending at
-/// `n_keys`. An early-stop run and a full-budget run therefore share
-/// the same look prefix, which is what makes the verdict-identity
-/// guarantee checkable.
-pub fn look_points(n_keys: usize) -> Vec<usize> {
-    let mut points = Vec::new();
-    if n_keys == 0 {
-        return points;
-    }
-    let mut bound = (n_keys / 8).max(1);
-    while bound < n_keys {
-        points.push(bound);
-        bound *= 2;
-    }
-    points.push(n_keys);
-    points
-}
-
 /// Deterministic pooled-budget allocator for the sequential audit
 /// (`repro audit`): hands each still-undecided item doubling trial
 /// chunks out of a shared pool, so budget freed by early-stopped items
@@ -1134,7 +1115,13 @@ pub fn run_modexp_sweep(
             let mut analyzer = SequentialAnalyzer::new(cfg);
             let mut next_key = 0usize;
             let mut interrupted = false;
-            for bound in look_points(n_keys) {
+            // Look after the allocator's doubling chunks of the key budget:
+            // an early-stop run and a full-budget run share the same look
+            // prefix, which is what makes the verdict-identity guarantee
+            // checkable.
+            let mut looks = AdaptiveAllocator::new(1, n_keys);
+            while looks.round()[0] > 0 {
+                let bound = looks.spent(0);
                 run_keys(&unrestored(next_key..bound), &mut fresh);
                 // Pool this segment in key order — restored and fresh
                 // interleave exactly as an uninterrupted sweep would, so
@@ -1625,14 +1612,25 @@ mod tests {
         assert!(alloc.spent(3) + 3 * 12 <= 4 * 96, "reflow never exceeds the pool");
     }
 
+    /// One item's cumulative grants are the `--sequential` sweep's look
+    /// points: doubling from `max(budget / 8, 1)` and always ending at the
+    /// budget.
     #[test]
     fn look_points_double_and_always_cover_the_budget() {
-        assert_eq!(look_points(96), vec![12, 24, 48, 96]);
-        assert_eq!(look_points(16), vec![2, 4, 8, 16]);
-        assert_eq!(look_points(27), vec![3, 6, 12, 24, 27]);
-        assert_eq!(look_points(8), vec![1, 2, 4, 8]);
-        assert_eq!(look_points(1), vec![1]);
-        assert_eq!(look_points(0), Vec::<usize>::new());
+        let looks = |budget| {
+            let mut alloc = AdaptiveAllocator::new(1, budget);
+            let mut out = Vec::new();
+            while alloc.round()[0] > 0 {
+                out.push(alloc.spent(0));
+            }
+            out
+        };
+        assert_eq!(looks(96), vec![12, 24, 48, 96]);
+        assert_eq!(looks(16), vec![2, 4, 8, 16]);
+        assert_eq!(looks(27), vec![3, 6, 12, 24, 27]);
+        assert_eq!(looks(8), vec![1, 2, 4, 8]);
+        assert_eq!(looks(1), vec![1]);
+        assert_eq!(looks(0), Vec::<usize>::new());
     }
 
     #[test]
