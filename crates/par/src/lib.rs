@@ -344,15 +344,11 @@ impl<R> TrialOutcome<R> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IsolationPolicy {
     /// Maximum attempts per trial (minimum 1; the default 2 allows one
-    /// retry).
+    /// retry). Attempts that returned `Err` (transient simulator errors)
+    /// or exceeded the wall-clock budget are retried; a panic never is,
+    /// because a panic is a bug and a deterministic trial would just panic
+    /// again.
     pub max_attempts: u32,
-    /// Retry attempts that returned `Err` (transient simulator errors).
-    pub retry_sim_errors: bool,
-    /// Retry attempts that exceeded the wall-clock budget.
-    pub retry_timeouts: bool,
-    /// Retry attempts that panicked. Off by default: a panic is a bug,
-    /// and deterministic trials will just panic again.
-    pub retry_panics: bool,
     /// Wall-clock budget per attempt (`None` = unlimited).
     pub timeout: Option<Duration>,
     /// First retry delay of the deterministic exponential backoff
@@ -369,9 +365,6 @@ impl Default for IsolationPolicy {
     fn default() -> Self {
         IsolationPolicy {
             max_attempts: 2,
-            retry_sim_errors: true,
-            retry_timeouts: true,
-            retry_panics: false,
             timeout: None,
             backoff_base: Duration::ZERO,
             backoff_cap: Duration::ZERO,
@@ -414,6 +407,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Runs one task behind a panic boundary under the policy's attempt
 /// budget and classifies the outcome: the task's value, or a
 /// [`TrialOutcome::Failed`] record instead of an unwinding caller.
+/// Simulator errors and timeouts are retried while attempts remain;
+/// panics never are.
 ///
 /// The task receives the attempt number, counting from 0, so callers can
 /// salt retries (e.g. re-seed a fault plan per attempt). `index` only
@@ -461,13 +456,8 @@ pub fn run_isolated<R>(
             Err(payload) => (FailureClass::Panicked, panic_message(payload)),
         };
         attempt += 1;
-        let retryable = match class {
-            FailureClass::SimError => policy.retry_sim_errors,
-            FailureClass::TimedOut => policy.retry_timeouts,
-            FailureClass::Panicked => policy.retry_panics,
-            // Cancellation returns above without classifying an attempt.
-            FailureClass::Cancelled => false,
-        };
+        // Cancellation returns above without classifying an attempt.
+        let retryable = matches!(class, FailureClass::SimError | FailureClass::TimedOut);
         if attempt < max_attempts && retryable {
             metrics::record("trial.retried", 1.0);
             diag_warn!("trial {index} attempt {attempt} failed ({class}): {message}; retrying");
@@ -691,7 +681,7 @@ mod tests {
         assert_eq!(outcomes.iter().filter(|o| o.is_completed()).count(), 7);
         let failure = outcomes[5].failure().expect("trial 5 quarantined");
         assert_eq!(failure.class, FailureClass::Panicked);
-        assert_eq!(failure.attempts, 1, "panics are not retried by default");
+        assert_eq!(failure.attempts, 1, "panics are never retried");
         assert!(failure.message.contains("trial 5 exploded"), "{}", failure.message);
     }
 
@@ -843,8 +833,8 @@ mod tests {
     fn run_isolated_classifies_overtime_results() {
         let _l = LOCK.lock().unwrap();
         let policy = IsolationPolicy {
+            max_attempts: 1,
             timeout: Some(Duration::ZERO),
-            retry_timeouts: false,
             ..IsolationPolicy::default()
         };
         let outcomes = with_threads(1, || {
