@@ -1,32 +1,8 @@
+use microsampler_stats::MulShift;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 
 const PAGE_SIZE: u64 = 4096;
-
-/// Multiply-shift hasher for maps and sets keyed by simulated addresses,
-/// PCs and page numbers (the page map here, the fold's membership set).
-/// The keys are never adversarial, so one multiply is enough; folding the
-/// high half down spreads the well-mixed high bits into the low bits the
-/// table indexes by.
-#[derive(Default)]
-pub(crate) struct MulShift(u64);
-
-impl Hasher for MulShift {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let p = v.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = p ^ (p >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 type Page = Box<[u8; PAGE_SIZE as usize]>;
 

@@ -40,9 +40,8 @@
 
 use crate::digest::row_digest;
 use crate::fault::{FaultConfig, FaultPlan};
-use crate::memory::MulShift;
 use crate::pipeline::PipelineStats;
-use microsampler_stats::SipHasher;
+use microsampler_stats::{MulShift, SipHasher};
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::BuildHasherDefault;

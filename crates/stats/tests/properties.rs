@@ -6,10 +6,48 @@ use microsampler_stats::{
     Association, ContingencyTable, SipHasher,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// An association's floating-point fields as bits, for exact comparison.
 fn bits(a: &Association) -> [u64; 4] {
     [a.chi2, a.p_value, a.cramers_v, a.cramers_v_corrected].map(f64::to_bits)
+}
+
+/// The reference model of a table: class → category → count, every
+/// count positive.
+type Model = BTreeMap<u64, BTreeMap<u64, u64>>;
+
+fn model_categories(model: &Model) -> Vec<u64> {
+    let mut all: Vec<u64> = model.values().flat_map(|row| row.keys().copied()).collect();
+    all.sort_unstable();
+    all.dedup();
+    all
+}
+
+fn model_matrix(model: &Model) -> Vec<Vec<u64>> {
+    let categories = model_categories(model);
+    model
+        .values()
+        .map(|row| categories.iter().map(|k| row.get(k).copied().unwrap_or(0)).collect())
+        .collect()
+}
+
+/// The model rendered in the table's Table II layout.
+fn model_display(model: &Model) -> String {
+    let mut out = format!("{:>12} |", "class\\hash");
+    for k in model_categories(model) {
+        let _ = write!(out, " {k:>12}");
+    }
+    out.push('\n');
+    for (c, row) in model.iter().zip(model_matrix(model)) {
+        let _ = write!(out, "{:>12} |", c.0);
+        for n in row {
+            let _ = write!(out, " {n:>12}");
+        }
+        out.push('\n');
+    }
+    out
 }
 
 fn table_strategy() -> impl Strategy<Value = Vec<Vec<u64>>> {
@@ -192,5 +230,81 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.finish(), bytes.finish());
+    }
+
+    /// The flat table against a `BTreeMap` model fed the same
+    /// `(class, category, n)` stream. The stream opens with class 2 only,
+    /// so classes 0 and 1 (and 3 and 4) first appear after columns exist
+    /// and widen every column. Every accessor and the rendering match the
+    /// model, and the association equals, to the bit, the one computed
+    /// through `chi_squared` from the model's matrix.
+    #[test]
+    fn flat_table_matches_a_btreemap_model(
+        head in proptest::collection::vec((0u64..12, 1u64..4), 1..8),
+        tail in proptest::collection::vec((0u64..5, 0u64..12, 0u64..4), 0..200),
+        spread in any::<bool>(),
+    ) {
+        // Large, unordered labels as snapshot hashes are, or small ones.
+        let label = |k: u64| if spread { k.wrapping_mul(0x9e37_79b9_7f4a_7c15) } else { k };
+        let stream: Vec<(u64, u64, u64)> = head
+            .iter()
+            .map(|&(k, n)| (2, label(k), n))
+            .chain(tail.iter().map(|&(c, k, n)| (c, label(k), n)))
+            .collect();
+        let mut table: ContingencyTable<u64, u64> = ContingencyTable::new();
+        let mut model = Model::new();
+        for &(c, k, n) in &stream {
+            table.record_n(c, k, n);
+            if n > 0 {
+                *model.entry(c).or_default().entry(k).or_insert(0) += n;
+            }
+        }
+        let categories = model_categories(&model);
+        let total: u64 = model.values().flat_map(|row| row.values()).sum();
+        prop_assert_eq!(table.total(), total);
+        prop_assert_eq!(table.class_count(), model.len());
+        prop_assert_eq!(table.category_count(), categories.len());
+        prop_assert_eq!(table.classes().copied().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+        prop_assert_eq!(table.categories().copied().collect::<Vec<_>>(), categories.clone());
+        for c in 0..6u64 {
+            let want: Vec<(u64, u64)> =
+                model.get(&c).map_or(Vec::new(), |row| row.iter().map(|(&k, &n)| (k, n)).collect());
+            let got: Vec<(u64, u64)> = table.categories_of(&c).map(|(&k, n)| (k, n)).collect();
+            prop_assert_eq!(got, want);
+            for &k in categories.iter().chain([&label(99)]) {
+                let want = model.get(&c).and_then(|row| row.get(&k)).copied().unwrap_or(0);
+                prop_assert_eq!(table.count(&c, &k), want);
+            }
+        }
+        let matrix = model_matrix(&model);
+        prop_assert_eq!(table.to_matrix(), matrix.clone());
+        prop_assert_eq!(table.to_string(), model_display(&model));
+
+        let (chi2, dof) = chi_squared(&matrix);
+        let (rows, cols) = (model.len() as u64, categories.len() as u64);
+        let want = Association {
+            chi2,
+            dof,
+            p_value: chi_squared_p_value(chi2, dof),
+            cramers_v: cramers_v(chi2, total, rows, cols),
+            cramers_v_corrected: cramers_v_corrected(chi2, total, rows, cols),
+            n: total,
+            classes: rows,
+            categories: cols,
+        };
+        let got = table.association();
+        prop_assert_eq!(bits(&got), bits(&want));
+        prop_assert_eq!(got, want);
+
+        // Equal counts make equal tables, whatever the recording order.
+        let mut sorted = stream.clone();
+        sorted.sort_unstable();
+        let mut resorted = ContingencyTable::new();
+        for (c, k, n) in sorted {
+            resorted.record_n(c, k, n);
+        }
+        prop_assert!(resorted == table);
+        resorted.record(7, label(0));
+        prop_assert!(resorted != table);
     }
 }
