@@ -39,6 +39,7 @@ use microsampler_par::IsolationPolicy;
 use microsampler_sim::UnitSet;
 use queue::{JobHandle, JobSpec, JobState, WalWriter};
 use std::collections::{BTreeMap, VecDeque};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -535,6 +536,35 @@ fn install_signal_handlers() {
     }
 }
 
+/// How often the accept loop reports the queue.
+const HEARTBEAT: Duration = Duration::from_secs(2);
+
+/// Waits in `poll(2)` until `listener` has a connection to accept, a
+/// signal arrives or `timeout` passes, whichever comes first. `poll` is
+/// declared directly, as `signal` is above. A caught signal always ends
+/// the wait (`poll` is never restarted), so the loop sees [`SHUTDOWN`] at
+/// once; the listener stays nonblocking, so an `accept` after a timeout
+/// or a signal returns `WouldBlock`.
+fn wait_for_connection(listener: &UnixListener, timeout: Duration) {
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one valid `pollfd` for the whole call. The result
+    // is not needed: the `accept` that follows tells the cases apart.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
 /// Runs the daemon until SIGTERM/SIGINT, then drains and exits cleanly.
 ///
 /// # Errors
@@ -572,21 +602,21 @@ pub fn serve(opts: ServeOptions) -> Result<(), String> {
     let mut last_beat = Instant::now();
     let started = Instant::now();
     while !SHUTDOWN.load(Ordering::SeqCst) {
+        wait_for_connection(&listener, HEARTBEAT.saturating_sub(last_beat.elapsed()));
         match listener.accept() {
             Ok((stream, _addr)) => {
                 let state = state.clone();
                 sessions.push(std::thread::spawn(move || session::handle_client(&state, stream)));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // The wait timed out or a signal ended it.
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) => {
                 diag_warn!("serve: accept failed: {e}");
                 std::thread::sleep(Duration::from_millis(20));
             }
         }
         sessions.retain(|s| !s.is_finished());
-        if last_beat.elapsed() >= Duration::from_secs(2) {
+        if last_beat.elapsed() >= HEARTBEAT {
             last_beat = Instant::now();
             let status = state.status_json();
             diag::heartbeat(
