@@ -1,27 +1,6 @@
-//! Regenerates the paper's evaluation tables and figures.
-//!
-//! ```text
-//! repro <experiment>... [--keys N] [--key-bytes N] [--reps N]
-//!                       [--trials N] [--seed N] [--threads N]
-//!                       [--full] [--json DIR] [--faults SPEC]
-//!                       [--journal FILE] [--resume FILE] [--retries N]
-//!                       [--trial-timeout SECS]
-//! repro lint [--all | <kernel>...] [--static] [--sarif FILE]
-//!            [--baseline FILE] [--update-baseline] [--spec-depth N]
-//!            [--no-spec] [--trials N] [--seed N] [--threads N]
-//! repro profile [--all | <kernel>...] [--keys N] [--key-bytes N]
-//!               [--seed N] [--threads N] [--out FILE] [--trace-out FILE]
-//! repro audit [--trials N] [--seed N] [--threads N] [--faults SPEC]
-//!             [--full-budget] [--out FILE] [--stats-out FILE]
-//!             [--robustness] [--noise L1,L2,...] [--stability-out FILE]
-//! repro serve --state DIR [--socket PATH] [--queue N] [--per-client N]
-//!             [--job-timeout-ms MS] [--job-retries N] [--backoff-ms MS]
-//! repro submit --socket PATH [--client NAME] [--kernel NAME] [--keys N]
-//!              [--key-bytes N] [--seed N] [--sequential] [--cancel JOB]
-//!              [--status]
-//! experiments: table1 table2 table3 table4 table5 table6 table7
-//!              fig2 fig3 fig4 fig5 fig6 fig7 fig9 fig10 sensitivity all
-//! ```
+//! Regenerates the paper's evaluation tables and figures, and drives the
+//! Table V audit, the static lint and the audit daemon. `repro --help`
+//! prints the synopsis of every subcommand.
 //!
 //! `--faults` injects seed-deterministic microarchitectural faults into
 //! every modexp trial (see `microsampler_sim::FaultConfig`); `--journal`
@@ -73,6 +52,7 @@ use microsampler_core::association_to_json;
 use microsampler_kernels::modexp::ModexpVariant;
 use microsampler_obs::{diag, diag_error, json, metrics, span, trace_event, Value};
 use microsampler_sim::{CoreConfig, FaultConfig, UnitSet};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -102,168 +82,101 @@ fn main() -> ExitCode {
         diag::set_max_level(Some(diag::Level::Error));
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("lint") {
-        return lint_main(&args[1..]);
+    match args.first().map(String::as_str) {
+        Some("lint") => lint_main(&args[1..]),
+        Some("profile") => profile_main(&args[1..]),
+        Some("audit") => audit_main(&args[1..]),
+        #[cfg(unix)]
+        Some("serve") => serve_main(&args[1..]),
+        #[cfg(unix)]
+        Some("submit") => submit_main(&args[1..]),
+        _ => experiments_main(&args),
     }
-    if args.first().map(String::as_str) == Some("profile") {
-        return profile_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("audit") {
-        return audit_main(&args[1..]);
-    }
-    #[cfg(unix)]
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&args[1..]);
-    }
-    #[cfg(unix)]
-    if args.first().map(String::as_str) == Some("submit") {
-        return submit_main(&args[1..]);
-    }
+}
+
+/// Runs each named experiment in turn. Exit codes: 0 = done, 1 = no
+/// experiment named, 2 = usage error.
+fn experiments_main(args: &[String]) -> ExitCode {
     let mut scale = Scale::default();
-    let mut wanted: Vec<String> = Vec::new();
-    let mut json_dir: Option<std::path::PathBuf> = None;
+    let mut wanted: Vec<&str> = Vec::new();
+    let mut json_dir: Option<PathBuf> = None;
     let mut sweep_opts = sweep::SweepOptions::default();
     let mut sweep_requested = false;
-    // The journal `--resume` named, decoded once when the flag is read.
-    let mut resumed: Option<(std::path::PathBuf, sweep::JournalState)> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--keys" => scale.keys = take_num(&mut i),
-            "--key-bytes" => scale.key_bytes = take_num(&mut i),
-            "--reps" => scale.memcmp_reps = take_num(&mut i),
-            "--trials" => scale.primitive_trials = take_num(&mut i),
-            "--seed" => scale.seed = take_num(&mut i) as u64,
-            "--threads" => {
-                i += 1;
-                let raw = args.get(i).unwrap_or_else(|| fail("expected a number after --threads"));
-                match raw.parse::<usize>() {
-                    Ok(0) => fail("--threads must be at least 1"),
-                    // set_threads clamps absurd counts to the host's
-                    // available parallelism (with a warning).
-                    Ok(n) => microsampler_par::set_threads(Some(n)),
-                    Err(_) => fail(&format!(
-                        "invalid --threads value `{raw}`: expected a positive integer"
-                    )),
-                }
-            }
+    let mut flags = Flags::new("", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--keys" => scale.keys = flags.count(),
+            "--key-bytes" => scale.key_bytes = flags.count(),
+            "--reps" => scale.memcmp_reps = flags.count(),
+            "--trials" => scale.primitive_trials = flags.count(),
+            "--seed" => scale.seed = flags.number(),
+            "--threads" => flags.threads(),
             "--full" => scale = Scale::full(),
-            "--faults" => {
-                i += 1;
-                let spec =
-                    args.get(i).unwrap_or_else(|| fail("expected a fault spec after --faults"));
-                match parse_faults(spec) {
-                    Ok((faults, wedge_trial)) => {
-                        sweep_opts.faults = faults;
-                        sweep_opts.wedge_trial = wedge_trial;
-                        sweep_requested = true;
+            "--json" => json_dir = Some(flags.path()),
+            word if !word.starts_with('-') => wanted.push(word),
+            // The sweep flags: with any of them, a trial that still fails
+            // is quarantined instead of stopping the run.
+            _ => {
+                sweep_requested = true;
+                match flag {
+                    "--faults" => (sweep_opts.faults, sweep_opts.wedge_trial) = flags.faults(),
+                    // A later `--journal` names the file an earlier
+                    // `--resume` resumes.
+                    "--journal" | "--resume" => {
+                        sweep_opts.journal = Some(flags.path());
+                        sweep_opts.resume |= flag == "--resume";
                     }
-                    Err(e) => fail(&format!("invalid --faults spec `{spec}`: {e}")),
+                    // N retries = N+1 attempts; 0 disables retrying.
+                    "--retries" => {
+                        sweep_opts.policy.max_attempts = flags.number::<u32>().saturating_add(1);
+                    }
+                    "--sequential" => {
+                        sweep_opts.sequential = Some(microsampler_core::SeqConfig::default());
+                    }
+                    "--trial-timeout" => {
+                        sweep_opts.policy.timeout = Some(Duration::from_secs(flags.number()));
+                    }
+                    _ => flags.unknown(),
                 }
             }
-            "--journal" => {
-                sweep_opts.journal = Some(take_path(&mut i, "--journal"));
-                sweep_requested = true;
-            }
-            "--resume" => {
-                let path = take_path(&mut i, "--resume");
-                // Validate up front: a missing or corrupt journal must be
-                // a usage error, not a silently-ignored restart.
-                match sweep::load_journal(&path) {
-                    Ok(state) => resumed = Some((path.clone(), state)),
-                    Err(e) => fail(&format!("cannot resume: {e}")),
-                }
-                sweep_opts.journal = Some(path);
-                sweep_opts.resume = true;
-                sweep_requested = true;
-            }
-            "--retries" => {
-                // N retries = N+1 attempts; 0 disables retrying.
-                sweep_opts.policy.max_attempts = take_num(&mut i) as u32 + 1;
-                sweep_requested = true;
-            }
-            "--sequential" => {
-                sweep_opts.sequential = Some(microsampler_core::SeqConfig::default());
-                sweep_requested = true;
-            }
-            "--trial-timeout" => {
-                sweep_opts.policy.timeout = Some(Duration::from_secs(take_num(&mut i) as u64));
-                sweep_requested = true;
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => json_dir = Some(dir.into()),
-                    None => fail("expected a directory after --json"),
-                }
-            }
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => wanted.push(other.to_owned()),
-            other => fail(&format!("unknown flag `{other}`")),
-        }
-        i += 1;
-    }
-    if wanted.is_empty() {
-        usage();
-        return ExitCode::FAILURE;
-    }
-    if scale.keys == 0
-        || scale.key_bytes == 0
-        || scale.memcmp_reps == 0
-        || scale.primitive_trials == 0
-    {
-        fail("--keys, --key-bytes, --reps and --trials must be at least 1");
-    }
-    if wanted.iter().any(|w| w == "all") {
-        wanted = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-    }
-    // Validate every id up front so a typo late in the list fails before
-    // hours of sweeps, not after.
-    for w in &wanted {
-        if !EXPERIMENTS.contains(&w.as_str()) {
-            fail(&format!("unknown experiment `{w}`"));
-        }
-    }
-    if let Some(dir) = &json_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            fail(&format!("cannot create --json directory {}: {e}", dir.display()));
         }
     }
     // A journal written under different FaultConfig rates or fault seed
     // holds trials from a different distribution, and one written by a
     // build that folds snapshots differently holds hashes that split
     // identical snapshots into two categories; mixing either into this
-    // run would silently bias the statistics. Checked after the whole
-    // arg loop so a later `--faults` cannot dodge it.
-    if sweep_opts.resume {
-        if let Some(path) = &sweep_opts.journal {
-            // A later `--journal` may name another file than `--resume` did.
-            let state = match resumed.take() {
-                Some((resumed_path, state)) if resumed_path == *path => Ok(state),
-                _ => sweep::load_journal(path),
-            };
-            if let Ok(state) = state {
-                if let Some(why) = state.mismatch(&sweep::options_config_hash(&sweep_opts)) {
-                    fail(&format!(
-                        "cannot resume {}: {why}; restore the original --faults spec or \
-                         start a fresh journal",
-                        path.display()
-                    ));
-                }
-            }
+    // run would silently bias the statistics. Checked once the whole
+    // command line is read, so a later `--faults` cannot dodge it, and
+    // before anything is written. A missing or corrupt journal is a
+    // usage error too, not a silently-ignored restart.
+    if let (Some(path), true) = (&sweep_opts.journal, sweep_opts.resume) {
+        let state =
+            sweep::load_journal(path).unwrap_or_else(|e| fail(&format!("cannot resume: {e}")));
+        if let Some(why) = state.mismatch(&sweep::options_config_hash(&sweep_opts)) {
+            fail(&format!(
+                "cannot resume {}: {why}; restore the original --faults spec or start a fresh \
+                 journal",
+                path.display()
+            ));
+        }
+    }
+    if wanted.is_empty() {
+        usage();
+        return ExitCode::FAILURE;
+    }
+    if wanted.contains(&"all") {
+        wanted = EXPERIMENTS.to_vec();
+    }
+    // Validate every id up front so a typo late in the list fails before
+    // hours of sweeps, not after.
+    for w in &wanted {
+        if !EXPERIMENTS.contains(w) {
+            fail(&format!("unknown experiment `{w}`"));
+        }
+    }
+    if let Some(dir) = &json_dir {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            fail(&format!("cannot create --json directory {}: {e}", dir.display()));
         }
     }
     if sweep_requested {
@@ -281,7 +194,7 @@ fn main() -> ExitCode {
         // unit's features, whatever each experiment reads.
         sweep_opts.features = UnitSet::ALL;
     }
-    for w in &wanted {
+    for w in wanted {
         let ctx = sweep::RunContext::new(scale, sweep_opts.clone());
         if let Some(dir) = &json_dir {
             span::set_enabled(true);
@@ -295,7 +208,7 @@ fn main() -> ExitCode {
             metrics::set_enabled(false);
             let report = Value::object()
                 .field("schema", "microsampler-run-report-v1")
-                .field("experiment", w.as_str())
+                .field("experiment", w)
                 .field("scale", scale_to_json(&scale))
                 .field("threads", microsampler_par::threads())
                 .field("result", result)
@@ -323,6 +236,106 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2)
 }
 
+/// The flag reader every subcommand drives: it hands out the arguments in
+/// order, parses each flag's value into the type its option holds, and
+/// names the flag in hand in every usage error. `--help` and `-h`, read
+/// where a flag may stand, print the usage and exit 0.
+struct Flags<'a> {
+    /// The subcommand, for the unknown-flag error (empty for experiments).
+    command: &'static str,
+    args: std::slice::Iter<'a, String>,
+    /// The argument `next` returned last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(command: &'static str, args: &'a [String]) -> Flags<'a> {
+        Flags { command, args: args.iter(), flag: "" }
+    }
+
+    /// The next flag or positional word, or `None` after the last.
+    fn next(&mut self) -> Option<&'a str> {
+        let arg = self.args.next()?;
+        if arg == "--help" || arg == "-h" {
+            usage();
+            std::process::exit(0);
+        }
+        self.flag = arg;
+        Some(arg)
+    }
+
+    /// The argument after the flag, whatever it looks like.
+    fn value(&mut self) -> &'a str {
+        match self.args.next() {
+            Some(value) => value,
+            None => fail(&format!("expected a value after {}", self.flag)),
+        }
+    }
+
+    fn path(&mut self) -> PathBuf {
+        self.value().into()
+    }
+
+    /// The value as the unsigned integer type its option holds, so a minus
+    /// sign or a value past the type's range is a usage error, not a wrap.
+    fn number<T: std::str::FromStr>(&mut self) -> T {
+        let value = self.value();
+        value.parse().unwrap_or_else(|_| {
+            let max = u128::MAX >> (128 - 8 * std::mem::size_of::<T>());
+            self.invalid(value, &format!("an integer from 0 to {max}"))
+        })
+    }
+
+    /// A count: a number of at least 1.
+    fn count(&mut self) -> usize {
+        let value = self.value();
+        match value.parse() {
+            Ok(0) | Err(_) => self.invalid(value, "a positive integer"),
+            Ok(n) => n,
+        }
+    }
+
+    /// `--threads N`: a count, applied at once. `set_threads` clamps a
+    /// count past the host's parallelism, with a warning.
+    fn threads(&mut self) {
+        microsampler_par::set_threads(Some(self.count()));
+    }
+
+    /// A `--faults` spec (see `parse_faults`).
+    fn faults(&mut self) -> (Option<FaultConfig>, Option<usize>) {
+        let spec = self.value();
+        parse_faults(spec).unwrap_or_else(|e| fail(&format!("invalid --faults spec `{spec}`: {e}")))
+    }
+
+    fn invalid(&self, value: &str, expected: &str) -> ! {
+        fail(&format!("invalid {} value `{value}`: expected {expected}", self.flag))
+    }
+
+    fn unknown(&self) -> ! {
+        match self.command {
+            "" => fail(&format!("unknown flag `{}`", self.flag)),
+            command => fail(&format!("unknown {command} flag `{}`", self.flag)),
+        }
+    }
+}
+
+/// The modexp kernel `name` names, as `profile` and `submit --kernel`
+/// take it.
+fn modexp_kernel(name: &str) -> ModexpVariant {
+    ModexpVariant::ALL.iter().copied().find(|v| v.name() == name).unwrap_or_else(|| {
+        let known: Vec<&str> = ModexpVariant::ALL.iter().map(|v| v.name()).collect();
+        fail(&format!("unknown kernel `{name}` (expected one of {})", known.join(", ")))
+    })
+}
+
+/// What a rate of `--faults` or a level of `--noise` must be.
+const RATE: &str = "a probability per 64k cycles, at most 65536";
+
+/// A `--faults` rate or `--noise` level, or `None` if `value` is not one.
+fn parse_rate(value: &str) -> Option<u32> {
+    value.parse().ok().filter(|&rate| rate <= 65536)
+}
+
 /// Parses a `--faults` spec: comma-separated `key=value` pairs with keys
 /// `seed`, `squash`, `evict`, `mshr`, `drop`, `flip` (rates are
 /// probabilities per 64k cycles, at most 65536) and `wedge=K` (wedge
@@ -333,23 +346,19 @@ fn parse_faults(spec: &str) -> Result<(Option<FaultConfig>, Option<usize>), Stri
     for part in spec.split(',') {
         let (key, value) =
             part.split_once('=').ok_or_else(|| format!("expected key=value, got `{part}`"))?;
-        let num =
-            || value.parse::<u64>().map_err(|_| format!("invalid value `{value}` for `{key}`"));
-        let rate = || -> Result<u32, String> {
-            let v = num()?;
-            if v > 65536 {
-                return Err(format!("rate `{key}={v}` exceeds 65536 (probability per 64k)"));
-            }
-            Ok(v as u32)
-        };
+        let invalid =
+            |expected: &str| format!("invalid value `{value}` for `{key}`: expected {expected}");
+        let rate = || parse_rate(value).ok_or_else(|| invalid(RATE));
         match key {
-            "seed" => faults.seed = num()?,
+            "seed" => faults.seed = value.parse().map_err(|_| invalid("an integer"))?,
             "squash" => faults.squash_per_64k = rate()?,
             "evict" => faults.evict_per_64k = rate()?,
             "mshr" => faults.mshr_stall_per_64k = rate()?,
             "drop" => faults.drop_row_per_64k = rate()?,
             "flip" => faults.bitflip_per_64k = rate()?,
-            "wedge" => wedge_trial = Some(num()? as usize),
+            "wedge" => {
+                wedge_trial = Some(value.parse().map_err(|_| invalid("a trial index"))?);
+            }
             other => {
                 return Err(format!(
                     "unknown fault key `{other}` (expected seed/squash/evict/mshr/drop/flip/wedge)"
@@ -360,9 +369,7 @@ fn parse_faults(spec: &str) -> Result<(Option<FaultConfig>, Option<usize>), Stri
     Ok((faults.any().then_some(faults), wedge_trial))
 }
 
-/// `repro lint [--all | <kernel>...] [--static] [--sarif FILE]
-/// [--baseline FILE] [--update-baseline] [--spec-depth N] [--no-spec]
-/// [--trials N] [--seed N] [--threads N]`.
+/// `repro lint`: the static constant-time lint.
 ///
 /// Exit codes: 0 = all analyzed kernels are clean, 3 = architectural
 /// constant-time violations were found, 4 = only transient (CT-SPEC)
@@ -370,54 +377,33 @@ fn parse_faults(spec: &str) -> Result<(Option<FaultConfig>, Option<usize>), Stri
 /// 2 = usage error.
 fn lint_main(args: &[String]) -> ExitCode {
     let mut scale = Scale::default();
-    let mut names: Vec<String> = Vec::new();
+    let mut names: Vec<&str> = Vec::new();
     let mut all = false;
     let mut static_only = false;
-    let mut sarif_path: Option<std::path::PathBuf> = None;
-    let mut baseline_path: Option<std::path::PathBuf> = None;
+    let mut sarif_path: Option<PathBuf> = None;
+    let mut baseline_path: Option<PathBuf> = None;
     let mut update_baseline = false;
     let mut spec_depth: Option<usize> = None;
     let mut no_spec = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
+    let mut flags = Flags::new("lint", args);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--all" => all = true,
             "--static" => static_only = true,
-            "--sarif" => sarif_path = Some(take_path(&mut i, "--sarif")),
-            "--baseline" => baseline_path = Some(take_path(&mut i, "--baseline")),
+            "--sarif" => sarif_path = Some(flags.path()),
+            "--baseline" => baseline_path = Some(flags.path()),
             "--update-baseline" => update_baseline = true,
-            "--spec-depth" => spec_depth = Some(take_num(&mut i)),
+            "--spec-depth" => spec_depth = Some(flags.number()),
             "--no-spec" => no_spec = true,
-            "--trials" => scale.primitive_trials = take_num(&mut i),
-            "--seed" => scale.seed = take_num(&mut i) as u64,
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => names.push(other.to_owned()),
-            other => fail(&format!("unknown lint flag `{other}`")),
+            "--trials" => scale.primitive_trials = flags.count(),
+            "--seed" => scale.seed = flags.number(),
+            "--threads" => flags.threads(),
+            name if !name.starts_with('-') => names.push(name),
+            _ => flags.unknown(),
         }
-        i += 1;
     }
     if all != names.is_empty() {
         fail("lint takes either --all or at least one kernel name, not both");
-    }
-    if scale.primitive_trials == 0 {
-        fail("--trials must be at least 1");
     }
     if no_spec && spec_depth.is_some() {
         fail("--no-spec and --spec-depth are mutually exclusive");
@@ -474,8 +460,7 @@ fn lint_main(args: &[String]) -> ExitCode {
         print!("{cross}");
     }
     if update_baseline {
-        let path =
-            baseline_path.clone().unwrap_or_else(|| std::path::PathBuf::from("lint-baseline.json"));
+        let path = baseline_path.clone().unwrap_or_else(|| PathBuf::from("lint-baseline.json"));
         match write_baseline(&path, &results) {
             Ok(()) => {
                 println!("wrote {}", path.display());
@@ -505,65 +490,35 @@ fn lint_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro profile [--all | <kernel>...] [--keys N] [--key-bytes N]
-/// [--seed N] [--threads N] [--out FILE] [--trace-out FILE]`.
+/// `repro profile`: the pipeline profile of modexp kernels.
 ///
 /// Exit codes: 0 = profiled and `BENCH_sim.json` written, 1 = a kernel
 /// failed or reported zero IPC, 2 = usage error.
 fn profile_main(args: &[String]) -> ExitCode {
     let mut opts = profile::ProfileOptions::default();
-    let mut names: Vec<String> = Vec::new();
+    let mut names: Vec<&str> = Vec::new();
     let mut all = false;
-    let mut out = std::path::PathBuf::from("BENCH_sim.json");
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
+    let mut out = PathBuf::from("BENCH_sim.json");
+    let mut trace_out: Option<PathBuf> = None;
+    let mut flags = Flags::new("profile", args);
+    while let Some(flag) = flags.next() {
+        match flag {
             "--all" => all = true,
-            "--keys" => opts.keys = take_num(&mut i),
-            "--key-bytes" => opts.key_bytes = take_num(&mut i),
-            "--seed" => opts.seed = take_num(&mut i) as u64,
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--out" => out = take_path(&mut i, "--out"),
-            "--trace-out" => trace_out = Some(take_path(&mut i, "--trace-out")),
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other if !other.starts_with('-') => names.push(other.to_owned()),
-            other => fail(&format!("unknown profile flag `{other}`")),
+            "--keys" => opts.keys = flags.count(),
+            "--key-bytes" => opts.key_bytes = flags.count(),
+            "--seed" => opts.seed = flags.number(),
+            "--threads" => flags.threads(),
+            "--out" => out = flags.path(),
+            "--trace-out" => trace_out = Some(flags.path()),
+            name if !name.starts_with('-') => names.push(name),
+            _ => flags.unknown(),
         }
-        i += 1;
     }
     if all != names.is_empty() {
         fail("profile takes either --all or at least one kernel name, not both");
     }
-    if opts.keys == 0 || opts.key_bytes == 0 {
-        fail("--keys and --key-bytes must be at least 1");
-    }
     if !all {
-        opts.kernels = names
-            .iter()
-            .map(|n| {
-                ModexpVariant::ALL.iter().copied().find(|v| v.name() == n).unwrap_or_else(|| {
-                    let known: Vec<&str> = ModexpVariant::ALL.iter().map(|v| v.name()).collect();
-                    fail(&format!("unknown kernel `{n}` (expected one of {})", known.join(", ")))
-                })
-            })
-            .collect();
+        opts.kernels = names.into_iter().map(modexp_kernel).collect();
     }
     let config = CoreConfig::mega_boom();
     if trace_out.is_some() {
@@ -607,12 +562,8 @@ fn profile_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro audit [--trials N] [--seed N] [--threads N] [--faults SPEC]
-/// [--full-budget] [--out FILE] [--stats-out FILE] [--robustness]
-/// [--noise L1,L2,...] [--stability-out FILE]`.
-///
-/// Runs the 27-primitive Table V audit under anytime-valid early
-/// stopping (default) or the fixed budget (`--full-budget`), printing
+/// `repro audit`: runs the 27-primitive Table V audit under anytime-valid
+/// early stopping (default) or the fixed budget (`--full-budget`), printing
 /// one row per primitive with its stopping point and writing the
 /// `microsampler-stats-bench-v1` trials-to-verdict benchmark. With
 /// `--robustness`, replays the audit in both modes across the fault
@@ -627,68 +578,39 @@ fn audit_main(args: &[String]) -> ExitCode {
     let mut opts = audit::AuditOptions::default();
     let mut robustness = false;
     let mut noise: Vec<u32> = audit::DEFAULT_NOISE_LEVELS.to_vec();
-    let mut out: Option<std::path::PathBuf> = None;
-    let mut stats_out = std::path::PathBuf::from("BENCH_stats.json");
-    let mut stability_out = std::path::PathBuf::from("stability.json");
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--trials" => match take_num(&mut i) {
-                0 => fail("--trials must be at least 1"),
-                n => opts.trials = n,
+    let mut out: Option<PathBuf> = None;
+    let mut stats_out = PathBuf::from("BENCH_stats.json");
+    let mut stability_out = PathBuf::from("stability.json");
+    let mut flags = Flags::new("audit", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--trials" => opts.trials = flags.count(),
+            "--seed" => opts.seed = flags.number(),
+            "--threads" => flags.threads(),
+            "--faults" => match flags.faults() {
+                (faults, None) => opts.faults = faults,
+                (_, Some(_)) => fail("audit does not take wedge= in --faults"),
             },
-            "--seed" => opts.seed = take_num(&mut i) as u64,
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--faults" => {
-                i += 1;
-                let spec =
-                    args.get(i).unwrap_or_else(|| fail("expected a fault spec after --faults"));
-                match parse_faults(spec) {
-                    Ok((faults, None)) => opts.faults = faults,
-                    Ok((_, Some(_))) => fail("audit does not take wedge= in --faults"),
-                    Err(e) => fail(&format!("invalid --faults spec `{spec}`: {e}")),
-                }
-            }
             "--full-budget" => opts.early_stop = false,
             "--robustness" => robustness = true,
+            // The levels are squash/evict/MSHR rates, so `--faults`'s
+            // rate rule holds for them.
             "--noise" => {
-                i += 1;
-                let spec = args.get(i).unwrap_or_else(|| fail("expected levels after --noise"));
-                noise = spec
+                noise = flags
+                    .value()
                     .split(',')
-                    .map(|s| {
-                        s.parse::<u32>().unwrap_or_else(|_| {
-                            fail(&format!("invalid --noise level `{s}`: expected an integer"))
+                    .map(|level| {
+                        parse_rate(level).unwrap_or_else(|| {
+                            fail(&format!("invalid --noise level `{level}`: expected {RATE}"))
                         })
                     })
                     .collect();
-                if noise.is_empty() {
-                    fail("--noise needs at least one level");
-                }
             }
-            "--out" => out = Some(take_path(&mut i, "--out")),
-            "--stats-out" => stats_out = take_path(&mut i, "--stats-out"),
-            "--stability-out" => stability_out = take_path(&mut i, "--stability-out"),
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => fail(&format!("unknown audit flag `{other}`")),
+            "--out" => out = Some(flags.path()),
+            "--stats-out" => stats_out = flags.path(),
+            "--stability-out" => stability_out = flags.path(),
+            _ => flags.unknown(),
         }
-        i += 1;
     }
 
     let rows = audit::run_audit(&opts);
@@ -786,61 +708,30 @@ fn audit_main(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `repro serve --socket PATH --state DIR [--queue N] [--per-client N]
-/// [--job-timeout-ms MS] [--job-retries N] [--backoff-ms MS]
-/// [--threads N]`.
-///
-/// Runs the leakage-audit daemon until SIGTERM/SIGINT, then drains
-/// in-flight jobs and exits 0. Exit codes: 0 = clean shutdown,
-/// 1 = setup or drain failure, 2 = usage error.
+/// `repro serve`: runs the leakage-audit daemon until SIGTERM/SIGINT,
+/// then drains in-flight jobs and exits 0. Exit codes: 0 = clean
+/// shutdown, 1 = setup or drain failure, 2 = usage error.
 #[cfg(unix)]
 fn serve_main(args: &[String]) -> ExitCode {
     use microsampler_bench::serve;
     let mut opts = serve::ServeOptions::default();
-    let mut socket: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_path = |i: &mut usize, flag: &str| -> std::path::PathBuf {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a path after {flag}"))).into()
-        };
-        match args[i].as_str() {
-            "--socket" => socket = Some(take_path(&mut i, "--socket")),
-            "--state" => opts.state_dir = take_path(&mut i, "--state"),
-            "--queue" => match take_num(&mut i) {
-                0 => fail("--queue must be at least 1"),
-                n => opts.queue_cap = n,
-            },
-            "--per-client" => match take_num(&mut i) {
-                0 => fail("--per-client must be at least 1"),
-                n => opts.per_client = n,
-            },
-            "--job-timeout-ms" => {
-                opts.job_timeout = Some(Duration::from_millis(take_num(&mut i) as u64));
-            }
-            "--job-retries" => opts.job_retries = take_num(&mut i) as u32,
+    let mut socket: Option<PathBuf> = None;
+    let mut flags = Flags::new("serve", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--socket" => socket = Some(flags.path()),
+            "--state" => opts.state_dir = flags.path(),
+            "--queue" => opts.queue_cap = flags.count(),
+            "--per-client" => opts.per_client = flags.count(),
+            "--job-timeout-ms" => opts.job_timeout = Some(Duration::from_millis(flags.number())),
+            "--job-retries" => opts.job_retries = flags.number(),
             "--backoff-ms" => {
-                let base = Duration::from_millis(take_num(&mut i) as u64);
-                opts.backoff_base = base;
-                opts.backoff_cap = base.saturating_mul(16);
+                opts.backoff_base = Duration::from_millis(flags.number());
+                opts.backoff_cap = opts.backoff_base.saturating_mul(16);
             }
-            "--threads" => match take_num(&mut i) {
-                0 => fail("--threads must be at least 1"),
-                n => microsampler_par::set_threads(Some(n)),
-            },
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => fail(&format!("unknown serve flag `{other}`")),
+            "--threads" => flags.threads(),
+            _ => flags.unknown(),
         }
-        i += 1;
     }
     opts.socket = socket.unwrap_or_else(|| opts.state_dir.join("serve.sock"));
     match serve::serve(opts) {
@@ -852,14 +743,9 @@ fn serve_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro submit --socket PATH [--client NAME] [--kernel NAME]
-/// [--config mega|small] [--fast-bypass] [--keys N] [--key-bytes N]
-/// [--seed N] [--wedge K] [--max-cycles N] [--sequential] [--cancel JOB]
-/// [--status]`.
-///
-/// Submits one audit job to a running `repro serve` daemon (or cancels
-/// a job / queries status), echoing every streamed line to stdout.
-/// Exit codes: 0 = clean verdict (or ack), 3 = leaky verdict,
+/// `repro submit`: submits one audit job to a running `repro serve`
+/// daemon (or cancels a job / queries status), echoing every streamed
+/// line to stdout. Exit codes: 0 = clean verdict (or ack), 3 = leaky verdict,
 /// 4 = quarantined, 5 = cancelled, 6 = busy rejection, 1 = connection
 /// or protocol error, 2 = usage error.
 #[cfg(unix)]
@@ -867,66 +753,32 @@ fn submit_main(args: &[String]) -> ExitCode {
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
-    let mut socket: Option<std::path::PathBuf> = None;
+    let mut socket: Option<PathBuf> = None;
     let mut request = Value::object().field("op", "submit");
-    let mut client = "cli".to_string();
-    let mut cancel_job: Option<String> = None;
+    let mut client = "cli";
+    let mut cancel_job: Option<&str> = None;
     let mut status = false;
-    let mut i = 0;
-    while i < args.len() {
-        let take_num = |i: &mut usize| -> usize {
-            *i += 1;
-            args.get(*i)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| fail("expected a number after the flag"))
-        };
-        let take_str = |i: &mut usize, flag: &str| -> String {
-            *i += 1;
-            args.get(*i).unwrap_or_else(|| fail(&format!("expected a value after {flag}"))).clone()
-        };
-        match args[i].as_str() {
-            "--socket" => socket = Some(take_str(&mut i, "--socket").into()),
-            "--client" => client = take_str(&mut i, "--client"),
-            "--kernel" => {
-                let name = take_str(&mut i, "--kernel");
-                if !ModexpVariant::ALL.iter().any(|v| v.name() == name) {
-                    let known: Vec<&str> = ModexpVariant::ALL.iter().map(|v| v.name()).collect();
-                    fail(&format!(
-                        "unknown kernel `{name}` (expected one of {})",
-                        known.join(", ")
-                    ));
-                }
-                request = request.field("kernel", name);
-            }
-            "--config" => {
-                let name = take_str(&mut i, "--config");
-                if name != "mega" && name != "small" {
-                    fail(&format!("unknown config `{name}` (expected mega or small)"));
-                }
-                request = request.field("config", name);
-            }
+    let mut flags = Flags::new("submit", args);
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--socket" => socket = Some(flags.path()),
+            "--client" => client = flags.value(),
+            "--kernel" => request = request.field("kernel", modexp_kernel(flags.value()).name()),
+            "--config" => match flags.value() {
+                name @ ("mega" | "small") => request = request.field("config", name),
+                name => flags.invalid(name, "mega or small"),
+            },
             "--fast-bypass" => request = request.field("fast_bypass", true),
-            "--keys" => match take_num(&mut i) {
-                0 => fail("--keys must be at least 1"),
-                n => request = request.field("keys", n),
-            },
-            "--key-bytes" => match take_num(&mut i) {
-                0 => fail("--key-bytes must be at least 1"),
-                n => request = request.field("key_bytes", n),
-            },
-            "--seed" => request = request.field("seed", take_num(&mut i) as u64),
-            "--wedge" => request = request.field("wedge", take_num(&mut i)),
-            "--max-cycles" => request = request.field("max_cycles", take_num(&mut i) as u64),
+            "--keys" => request = request.field("keys", flags.count()),
+            "--key-bytes" => request = request.field("key_bytes", flags.count()),
+            "--seed" => request = request.field("seed", flags.number::<u64>()),
+            "--wedge" => request = request.field("wedge", flags.number::<usize>()),
+            "--max-cycles" => request = request.field("max_cycles", flags.number::<u64>()),
             "--sequential" => request = request.field("sequential", true),
-            "--cancel" => cancel_job = Some(take_str(&mut i, "--cancel")),
+            "--cancel" => cancel_job = Some(flags.value()),
             "--status" => status = true,
-            "--help" | "-h" => {
-                usage();
-                return ExitCode::SUCCESS;
-            }
-            other => fail(&format!("unknown submit flag `{other}`")),
+            _ => flags.unknown(),
         }
-        i += 1;
     }
     let socket = socket.unwrap_or_else(|| fail("submit needs --socket PATH"));
     let request = if status {
@@ -1061,7 +913,7 @@ fn usage() {
     eprintln!(
         "usage: repro <experiment>... [--keys N] [--key-bytes N] [--reps N] [--trials N] \
          [--seed N] [--threads N] [--full] [--json DIR] [--faults SPEC] [--journal FILE] \
-         [--resume FILE] [--retries N] [--trial-timeout SECS]"
+         [--resume FILE] [--retries N] [--trial-timeout SECS] [--sequential]"
     );
     eprintln!(
         "       repro lint [--all | <kernel>...] [--static] [--sarif FILE] [--baseline FILE] \

@@ -3,7 +3,7 @@
 
 use microsampler_obs::{json, Value};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -15,6 +15,9 @@ fn tmp_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// Every case runs in a scratch directory under a deadline: a command line
+/// the parser wrongly accepts may start a sweep, an audit or a daemon
+/// instead of exiting, and must fail the test rather than hang it.
 #[test]
 fn bad_flags_exit_with_usage_error() {
     let cases: &[&[&str]] = &[
@@ -29,17 +32,77 @@ fn bad_flags_exit_with_usage_error() {
         &["fig7", "--faults"],
         &["fig7", "--resume", "/nonexistent/journal.jsonl"],
         &["fig7", "--keys", "0"],
+        &["fig7", "--keys", "1", "--key-bytes", "1", "--retries", "4294967296"],
+        &["fig7", "--bogus"],
         &["nonsense-experiment"],
+        &["lint", "--bogus"],
+        &["lint", "--sarif"],
+        &["lint", "--threads", "abc"],
+        &["profile", "--bogus"],
+        &["profile", "--out"],
+        &["profile", "--keys", "0"],
+        &["audit", "--bogus"],
+        &["audit", "--stats-out"],
+        &["audit", "--trials", "0"],
+        &["audit", "--noise", "70000"],
+        &["serve", "--bogus"],
+        &["serve", "--state"],
+        &["serve", "--queue", "0"],
+        &["serve", "--job-retries", "4294967296"],
+        &["submit", "--bogus"],
+        &["submit", "--socket"],
+        &["submit", "--keys", "0"],
+        &["submit", "--seed", "-1"],
     ];
+    let dir = tmp_dir("bad-flags");
     for args in cases {
-        let out = repro().args(*args).output().expect("repro runs");
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "{args:?} must exit 2; stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        let (code, stderr) = run_with_deadline(args, &dir);
+        assert_eq!(code, Some(2), "{args:?} must exit 2; stderr: {stderr}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--help` and `-h` exit 0 in every subcommand, and the largest
+/// `--retries` runs: `u32::MAX` retries saturate at `u32::MAX` attempts.
+#[test]
+fn help_exits_zero_and_the_largest_retry_count_runs() {
+    let dir = tmp_dir("help");
+    for command in [&[][..], &["lint"], &["profile"], &["audit"], &["serve"], &["submit"]] {
+        for help in ["--help", "-h"] {
+            let args: Vec<&str> = command.iter().copied().chain([help]).collect();
+            let (code, stderr) = run_with_deadline(&args, &dir);
+            assert_eq!(code, Some(0), "{args:?} must exit 0; stderr: {stderr}");
+            assert!(stderr.contains("usage: repro"), "{args:?} prints the usage: {stderr}");
+        }
+    }
+    let args = ["fig7", "--keys", "1", "--key-bytes", "1", "--retries", "4294967295"];
+    let (code, stderr) = run_with_deadline(&args, &dir);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `repro args` in `dir` and returns its exit code and stderr, or
+/// kills it and fails after 10 s.
+fn run_with_deadline(args: &[&str], dir: &std::path::Path) -> (Option<i32>, String) {
+    use std::time::{Duration, Instant};
+    let mut child = repro()
+        .args(args)
+        .current_dir(dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro runs");
+    let started = Instant::now();
+    while child.try_wait().expect("repro can be waited on").is_none() {
+        if started.elapsed() > Duration::from_secs(10) {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("{args:?} still ran after 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().expect("repro's stderr can be read");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 #[test]
