@@ -143,7 +143,18 @@ impl ServeState {
         })?;
         let wal_path = opts.state_dir.join("serve-wal.jsonl");
         let replay = recovery::replay_wal(&wal_path)?;
+        let recovered: Vec<Arc<JobHandle>> = replay
+            .pending
+            .iter()
+            .map(|p| Arc::new(JobHandle::new(p.seq, &p.client, p.spec.clone(), true)))
+            .collect();
+        // Compact away finished-job history up front: the recovered
+        // pending set is exactly what the WAL needs to carry.
         let mut wal = WalWriter::open(&wal_path)?;
+        let keep: Vec<Value> = recovered.iter().map(|job| queue::submitted_event(job)).collect();
+        if let Err(e) = wal.compact(&keep) {
+            diag_warn!("serve WAL compaction failed (continuing uncompacted): {e}");
+        }
         let state = ServeState {
             next_seq: AtomicU64::new(replay.next_seq),
             opts,
@@ -153,23 +164,13 @@ impl ServeState {
             jobs_seen: AtomicUsize::new(0),
             inflight: Mutex::new(BTreeMap::new()),
             outstanding: AtomicUsize::new(0),
-            wal: Mutex::new(WalWriter::open(&wal_path)?),
+            wal: Mutex::new(wal),
             shutting_down: AtomicBool::new(false),
         };
-        // Compact away finished-job history up front: the recovered
-        // pending set is exactly what the WAL needs to carry.
-        let mut keep = Vec::new();
-        for pending in &replay.pending {
-            let handle =
-                Arc::new(JobHandle::new(pending.seq, &pending.client, pending.spec.clone(), true));
-            keep.push(queue::submitted_event(&handle));
-            diag_info!("serve: recovered unfinished job {} from the WAL", handle.id);
-            state.enqueue(&handle);
+        for job in &recovered {
+            diag_info!("serve: recovered unfinished job {} from the WAL", job.id);
+            state.enqueue(job);
         }
-        if let Err(e) = wal.compact(&keep) {
-            diag_warn!("serve WAL compaction failed (continuing uncompacted): {e}");
-        }
-        *state.wal.lock().unwrap_or_else(|p| p.into_inner()) = wal;
         Ok(Arc::new(state))
     }
 
@@ -307,7 +308,7 @@ impl ServeState {
     /// exponential backoff; exhausting the attempts quarantines the job.
     pub fn run_job(&self, job: &Arc<JobHandle>) {
         let started = Instant::now();
-        let attempts_max = self.opts.job_retries + 1;
+        let attempts_max = self.opts.job_retries.saturating_add(1);
         // Job-level backoff reuses the per-trial policy's deterministic
         // schedule: base * 2^(attempt-1), clamped to the cap.
         let backoff = IsolationPolicy {
@@ -410,7 +411,7 @@ impl ServeState {
                 Some(SeqVerdict::Clean) => false,
                 _ => report.is_leaky(),
             };
-            let verdict = verdict_json(job, &report, &out);
+            let verdict = verdict_json(job, leaky, &report, &out);
             metrics::record("serve.job.duration_sec", started.elapsed().as_secs_f64());
             self.finish(job, JobState::Done { leaky, verdict });
             return;
@@ -481,26 +482,12 @@ impl ServeState {
 /// the same look schedule and latches the same stopping point.
 fn verdict_json(
     job: &JobHandle,
+    leaky: bool,
     report: &microsampler_core::AnalysisReport,
     out: &sweep::SweepOutcome,
 ) -> Value {
-    let quarantined: Vec<Value> = out
-        .quarantined
-        .iter()
-        .map(|q| {
-            Value::object()
-                .field("id", q.id.as_str())
-                .field("class", q.class.name())
-                .field("message", q.message.as_str())
-                .field("attempts", q.attempts)
-                .build()
-        })
-        .collect();
-    let leaky = match out.stop.as_ref().map(|t| t.verdict) {
-        Some(SeqVerdict::Leaky) => true,
-        Some(SeqVerdict::Clean) => false,
-        _ => report.is_leaky(),
-    };
+    let quarantined: Vec<Value> =
+        out.quarantined.iter().map(sweep::QuarantinedTrial::to_json).collect();
     let b = Value::object()
         .field("key", job.key.as_str())
         .field("kernel", job.spec.kernel.name())
@@ -749,6 +736,20 @@ mod tests {
         assert_eq!(wal.matches("\"event\":\"retrying\"").count(), 2);
         assert_eq!(wal.matches("\"event\":\"quarantined\"").count(), 1);
         assert_eq!(state.outstanding(), 0, "terminal jobs release their queue slot");
+        std::fs::remove_dir_all(&state_dir).ok();
+    }
+
+    /// `u32::MAX` retries is `u32::MAX` attempts: the count saturates
+    /// instead of wrapping to zero attempts, which would leave the job
+    /// queued forever.
+    #[test]
+    fn a_job_completes_under_the_largest_retry_count() {
+        let opts = ServeOptions { job_retries: u32::MAX, ..test_opts("maxretries") };
+        let state_dir = opts.state_dir.clone();
+        let state = ServeState::new(opts).unwrap();
+        let job = state.submit("ci", quick_spec()).unwrap();
+        state.run_job(&job);
+        assert!(matches!(job.state(), JobState::Done { .. }), "got {:?}", job.state());
         std::fs::remove_dir_all(&state_dir).ok();
     }
 

@@ -243,20 +243,15 @@ impl Tally {
     /// `early_stopped`, and `quarantined` with `id`/`class`/`message`/
     /// `attempts` each.
     fn to_json(&self) -> Value {
-        let quarantined = self.quarantined.iter().map(|q| {
-            Value::object()
-                .field("id", q.id.as_str())
-                .field("class", q.class.name())
-                .field("message", q.message.as_str())
-                .field("attempts", q.attempts)
-                .build()
-        });
         Value::object()
             .field("completed", self.completed)
             .field("restored", self.restored)
             .field("cancelled", self.cancelled)
             .field("early_stopped", self.early_stopped)
-            .field("quarantined", Value::Array(quarantined.collect()))
+            .field(
+                "quarantined",
+                self.quarantined.iter().map(QuarantinedTrial::to_json).collect::<Vec<_>>(),
+            )
             .build()
     }
 }
@@ -272,6 +267,20 @@ pub struct QuarantinedTrial {
     pub message: String,
     /// Attempts made.
     pub attempts: u32,
+}
+
+impl QuarantinedTrial {
+    /// `id`, `class`, `message` and `attempts`, as run reports and serve
+    /// verdicts list the trial. Journal lines keep their own field order
+    /// (`quarantined_line`).
+    pub(crate) fn to_json(&self) -> Value {
+        Value::object()
+            .field("id", self.id.as_str())
+            .field("class", self.class.name())
+            .field("message", self.message.as_str())
+            .field("attempts", self.attempts)
+            .build()
+    }
 }
 
 /// Result of [`run_modexp_sweep`].
